@@ -209,3 +209,53 @@ def test_action_space_is_exactly_nine_kinds():
     from sqlmend.actions import Action
 
     assert len(typing.get_args(Action)) == 9
+
+
+def test_sequence_ids_cover_nested_and_empty_children():
+    text = """add_merge(UNION):
+    left:
+        add_select(a)
+        qa("q"):
+            add_merge(EXCEPT):
+                left:
+                    add_select(b)
+                right:
+    right:
+        qa("empty"):
+"""
+    result = parse_actions(text)
+    assert result.errors == []
+    seq = result.sequence
+    merge = seq.actions[0]
+    inner = merge.left.actions[1].resolved.actions[0]
+    empty_qa = merge.right.actions[0].resolved
+    assert inner.right.actions == [] and empty_qa.actions == []
+    assert [seq.id, merge.left.id, merge.left.actions[1].resolved.id, inner.left.id,
+            inner.right.id, merge.right.id, empty_qa.id] == [
+        "s", "s.0.left", "s.0.left.1.qa", "s.0.left.1.qa.0.left",
+        "s.0.left.1.qa.0.right", "s.0.right", "s.0.right.0.qa"]
+    assign_sequence_ids(seq, root="r")
+    assert (merge.left.id, inner.right.id, empty_qa.id) == \
+        ("r.0.left", "r.0.left.1.qa.0.right", "r.0.right.0.qa")
+
+
+def test_validate_shape_reports_in_document_order():
+    text = """add_merge(UNION):
+    left:
+        add_select(a)
+        add_select(b)
+        add_where(a, IN, @s.0.left.3.qa)
+        qa("q"):
+            add_limit(1)
+            add_limit(2)
+    right:
+add_where(id, IN, @nowhere)
+"""
+    seq = parse_actions(text).sequence
+    assert [(v.kind, v.path) for v in validate_shape(seq)] == [
+        ("empty_merge_child", (0,)),
+        ("duplicate_clause", (0, "left", 1)),
+        ("duplicate_clause", (0, "left", 3, "qa", 1)),
+        ("merge_mixed_with_clauses", ()),
+        ("dangling_reference", (1,)),
+    ]

@@ -21,7 +21,6 @@ from sqlmend.detector import (
     InvalidRuleConfig,
     detect,
     detect_via_dbms,
-    evaluate_rule,
     load_rules,
 )
 from sqlmend.schema_catalog import load_catalog
@@ -210,6 +209,38 @@ def test_detect_determinism(episode_catalog):
     assert detect(seq, episode_catalog) == detect(seq, episode_catalog)
 
 
+def test_detect_reports_each_level_before_its_children(episode_catalog):
+    # levels in pre-order: the root, then each child sequence with its own
+    # children before the next sibling, so the root's last action comes first
+    seq = seq_of("""add_select(flavor)
+add_from(episode)
+add_merge(UNION):
+    left:
+        add_select(colour)
+        add_from(episode)
+        qa("inner"):
+            add_select(title)
+            add_from(episode)
+            add_where(id, =, "abc")
+    right:
+        add_select(title)
+        add_from(episodes)
+qa("outer"):
+    add_select(title, COUNT(*))
+    add_from(episode)
+add_where(id, =, "xyz")""")
+    findings = detect(seq, episode_catalog)
+    assert [(f.kind, f.action_path) for f in findings] == [
+        (UNKNOWN_COLUMN, (0,)),
+        (TYPE_MISMATCH, (4,)),
+        (UNKNOWN_COLUMN, (2, "left", 0)),
+        (TYPE_MISMATCH, (2, "left", 2, "qa", 2)),
+        (UNKNOWN_TABLE, (2, "right", 1)),
+        (JOIN_ABSENCE, (2, "right", 1)),
+        (GROUP_BY_ABSENCE, (3, "qa", 0)),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Rules
 # ---------------------------------------------------------------------------
@@ -221,7 +252,8 @@ def test_value_format_rule_conforming_literal(episode_catalog):
                                     "pattern": r"^\d{4}-\d{2}-\d{2}$"}}])
     seq = seq_of('add_select(title)\nadd_from(episode)\n'
                  'add_where(air_date, =, "2009-01-01")')
-    assert evaluate_rule(rules[0], seq, episode_catalog) == []
+    findings = detect(seq, episode_catalog, rules)
+    assert [f for f in findings if f.kind == CUSTOM_RULE_VIOLATION] == []
 
 
 def test_value_format_rule_nonconforming_literal(episode_catalog):
@@ -230,7 +262,8 @@ def test_value_format_rule_nonconforming_literal(episode_catalog):
                                     "pattern": r"^\d{4}-\d{2}-\d{2}$"}}])
     seq = seq_of('add_select(title)\nadd_from(episode)\n'
                  'add_where(air_date, =, "Jan 1, 2009")')
-    findings = evaluate_rule(rules[0], seq, episode_catalog)
+    findings = [f for f in detect(seq, episode_catalog, rules)
+                if f.kind == CUSTOM_RULE_VIOLATION]
     assert len(findings) == 1
     assert findings[0].kind == CUSTOM_RULE_VIOLATION
     assert findings[0].machine_data["literal"] == "Jan 1, 2009"

@@ -259,3 +259,48 @@ def test_feedback_render_mentions_candidates(episode_catalog, episode_index):
     text = trace.iterations[0][1].render()
     assert "matches no database entry" in text
     assert "'Todd Casey' (1.00)" in text
+
+
+class RecordingAgent(ScriptedAgent):
+    def __init__(self, script: dict):
+        super().__init__(script)
+        self.questions: list[str] = []
+
+    def generate(self, ctx):
+        self.questions.append(ctx.question)
+        return super().generate(ctx)
+
+
+def test_resolve_qa_calls_the_agent_depth_first(episode_catalog):
+    # a sub-question's own sub-questions are asked before the next sibling
+    agent = RecordingAgent({"q1": ['qa("q1a")'], "q1a": [CLEAN_ACTIONS],
+                            "q2": [CLEAN_ACTIONS]})
+    seq = parse_actions('qa("q1")\nqa("q2")').sequence
+    ctx = build_context(episode_catalog, QUESTION)
+    resolved, findings = resolve_qa(seq, agent, ctx)
+    assert agent.questions == ["q1", "q1a", "q2"]
+    assert findings == []
+    inner = resolved.actions[0].resolved.actions[0].resolved
+    assert (resolved.actions[0].resolved.id, inner.id, resolved.actions[1].resolved.id) == \
+        ("s.0.qa", "s.0.qa.0.qa", "s.1.qa")
+
+
+def test_resolve_qa_depth_limit_and_failure_findings(episode_catalog):
+    # merge children do not count toward the depth; qa children do
+    agent = RecordingAgent({"m": ['qa("m2")'], "q1": ['qa("q1a")\nqa("q1b")']})
+    seq = parse_actions('add_merge(UNION):\n    left:\n        qa("m")\n'
+                        '    right:\n        qa("lost")\nqa("q1")').sequence
+    ctx = build_context(episode_catalog, QUESTION)
+    _, findings = resolve_qa(seq, agent, ctx, max_depth=1)
+    assert agent.questions == ["m", "lost", "q1"]
+    assert [f.to_json_dict() for f in findings] == [
+        {"kind": UNRESOLVED_SUB_QUESTION, "action_path": [0, "left", 0, "qa", 0],
+         "detail": "sub-question depth limit (1) reached", "data": {"question": "m2"}},
+        {"kind": UNRESOLVED_SUB_QUESTION, "action_path": [0, "right", 0],
+         "detail": "agent failed on sub-question: question not scripted: 'lost'",
+         "data": {"question": "lost"}},
+        {"kind": UNRESOLVED_SUB_QUESTION, "action_path": [1, "qa", 0],
+         "detail": "sub-question depth limit (1) reached", "data": {"question": "q1a"}},
+        {"kind": UNRESOLVED_SUB_QUESTION, "action_path": [1, "qa", 1],
+         "detail": "sub-question depth limit (1) reached", "data": {"question": "q1b"}},
+    ]

@@ -200,3 +200,43 @@ def test_inspect_sequence_recurses_into_merge_children(episode_catalog, episode_
     assert path == (0, "right", 2)
     assert isinstance(verdict, Mismatch)
     assert verdict.candidates[0].raw_value == "Fox"
+
+
+def test_inspect_sequence_paths_follow_the_depth_first_walk(episode_catalog, episode_index):
+    # a child's verdicts come right after the action that owns the child,
+    # before the verdicts of the parent's later actions
+    text = """add_select(title)
+add_from(episode)
+add_where(written_by, =, "Todd Casey")
+qa("which episodes aired in 2009"):
+    add_select(id)
+    add_from(episode)
+    add_where(title, =, "double down")
+add_where(title, =, "The Firefly")
+"""
+    seq = parse_actions(text).sequence
+    verdicts = inspect_sequence(seq, episode_catalog, episode_index)
+    assert [path for path, _ in verdicts] == [(2,), (3, "qa", 2), (4,)]
+    assert [type(v) for _, v in verdicts] == [Matched, Mismatch, Matched]
+
+
+def test_inspect_sequence_paths_through_merge_and_nested_qa(episode_catalog, episode_index):
+    text = """add_merge(UNION):
+    left:
+        add_select(title)
+        add_from(episode)
+        qa("a sub question"):
+            add_select(name)
+            add_from(network)
+            add_where(name, =, "fox")
+        add_where(title, =, "Double Down")
+    right:
+        add_select(name)
+        add_from(network)
+        add_where(name, =, "ABC")
+"""
+    seq = parse_actions(text).sequence
+    verdicts = inspect_sequence(seq, episode_catalog, episode_index)
+    assert [path for path, _ in verdicts] == [
+        (0, "left", 2, "qa", 2), (0, "left", 3), (0, "right", 2)]
+    assert [type(v) for _, v in verdicts] == [Mismatch, Matched, Matched]
