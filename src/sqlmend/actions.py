@@ -94,10 +94,6 @@ def text_literal(value: str) -> Literal:
     return Literal(kind="text", value=value)
 
 
-def number_literal(value) -> Literal:
-    return Literal(kind="number", value=value)
-
-
 @dataclass(frozen=True)
 class SelectItem:
     expression: str
@@ -193,27 +189,56 @@ class ActionSequence:
         return None
 
 
+def _child_sequences(action: Action) -> tuple[tuple[str, ActionSequence], ...]:
+    """The child sequences an action owns, with their path labels."""
+    if isinstance(action, AddMerge):
+        return (("left", action.left), ("right", action.right))
+    if isinstance(action, QA) and action.resolved is not None:
+        return (("qa", action.resolved),)
+    return ()
+
+
+def _walk(level: ActionSequence, prefix: tuple):
+    # one event per level entered, (prefix, level, None), and one per
+    # action, (path, level, action); an action's children are read only
+    # after its event is consumed, so a caller may fill them in first
+    yield prefix, level, None
+    for i, action in enumerate(level.actions):
+        path = prefix + (i,)
+        yield path, level, action
+        for label, child in _child_sequences(action):
+            yield from _walk(child, path + (label,))
+
+
+def walk(seq: ActionSequence) -> Iterator[tuple[tuple, ActionSequence, Action]]:
+    """Every action in the tree as (path, level, action), depth first in
+    document order: an action's children come right after it.
+    """
+    return ((path, level, action) for path, level, action in _walk(seq, ())
+            if action is not None)
+
+
+def walk_levels(seq: ActionSequence) -> Iterator[tuple[tuple, ActionSequence]]:
+    """Every sequence in the tree as (prefix, level), pre-order: the root,
+    then each child sequence as the walk reaches it, empty ones included.
+    """
+    return ((prefix, level) for prefix, level, action in _walk(seq, ())
+            if action is None)
+
+
+def node_at(seq: ActionSequence, path: tuple) -> tuple[ActionSequence, int]:
+    """The level holding the action at `path`, and its index there."""
+    level = seq
+    for index, label in zip(path[:-1:2], path[1::2]):
+        level = dict(_child_sequences(level.actions[index]))[label]
+    return level, path[-1]
+
+
 def assign_sequence_ids(seq: ActionSequence, root: str = "s") -> ActionSequence:
     """Give the sequence tree deterministic position-derived ids."""
-    seq.id = root
-    for i, action in enumerate(seq.actions):
-        if isinstance(action, AddMerge):
-            assign_sequence_ids(action.left, f"{root}.{i}.left")
-            assign_sequence_ids(action.right, f"{root}.{i}.right")
-        elif isinstance(action, QA) and action.resolved is not None:
-            assign_sequence_ids(action.resolved, f"{root}.{i}.qa")
+    for prefix, level in walk_levels(seq):
+        level.id = ".".join([root, *map(str, prefix)])
     return seq
-
-
-def walk_sequences(seq: ActionSequence) -> Iterator[ActionSequence]:
-    """Yield the sequence and every descendant sequence, document order."""
-    yield seq
-    for action in seq.actions:
-        if isinstance(action, AddMerge):
-            yield from walk_sequences(action.left)
-            yield from walk_sequences(action.right)
-        elif isinstance(action, QA) and action.resolved is not None:
-            yield from walk_sequences(action.resolved)
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +671,7 @@ def _action_lines(action: Action, depth: int) -> list[str]:
         return [pad + f"add_limit({action.count})"]
     if isinstance(action, AddMerge):
         lines = [pad + f"add_merge({action.operator}):"]
-        for label, child in (("left", action.left), ("right", action.right)):
+        for label, child in _child_sequences(action):
             lines.append("    " * (depth + 1) + f"{label}:")
             lines.extend(_sequence_lines(child, depth + 2))
         return lines
@@ -689,101 +714,36 @@ def validate_shape(seq: ActionSequence) -> list[ShapeViolation]:
     dangling sequence references. Schema-aware checks live elsewhere.
     """
     violations: list[ShapeViolation] = []
-    known_ids: set[str] = set()
     refs: list[tuple[tuple, str]] = []
-
-    def visit(level: ActionSequence, prefix: tuple) -> None:
-        known_ids.add(level.id)
-        counts: dict[type, int] = {}
-        merge_present = False
-        clause_present = False
-        for i, action in enumerate(level.actions):
-            path = prefix + (i,)
-            if isinstance(action, SINGLETON_KINDS):
-                key = type(action)
-                counts[key] = counts.get(key, 0) + 1
-                if counts[key] == 2:
+    counts: dict[tuple, int] = {}
+    for path, _level, action in walk(seq):
+        if isinstance(action, SINGLETON_KINDS):
+            key = (path[:-1], type(action))
+            counts[key] = counts.get(key, 0) + 1
+            if counts[key] == 2:
+                violations.append(ShapeViolation(
+                    path=path, kind="duplicate_clause",
+                    detail=f"more than one {type(action).__name__} at this level"))
+        if isinstance(action, AddMerge):
+            for label, child in _child_sequences(action):
+                if not child.actions:
                     violations.append(ShapeViolation(
-                        path=path, kind="duplicate_clause",
-                        detail=f"more than one {key.__name__} at this level"))
-            if isinstance(action, AddMerge):
-                merge_present = True
-                for label, child in (("left", action.left), ("right", action.right)):
-                    if not child.actions:
-                        violations.append(ShapeViolation(
-                            path=path, kind="empty_merge_child",
-                            detail=f"add_merge {label} child is empty"))
-                visit(action.left, path + ("left",))
-                visit(action.right, path + ("right",))
-            elif isinstance(action, (AddSelect, AddFrom, AddWhere, AddGroupBy, AddHaving)):
-                clause_present = True
-            if isinstance(action, QA) and action.resolved is not None:
-                visit(action.resolved, path + ("qa",))
-            if isinstance(action, (AddWhere, AddHaving)):
-                value = action.value
-                if isinstance(value, SubqueryRef):
-                    refs.append((path, value.sequence_id))
-        if merge_present and clause_present:
+                        path=path, kind="empty_merge_child",
+                        detail=f"add_merge {label} child is empty"))
+        elif isinstance(action, CONDITIONAL_KINDS) and isinstance(action.value, SubqueryRef):
+            refs.append((path, action.value.sequence_id))
+    known_ids: set[str] = set()
+    for prefix, level in walk_levels(seq):
+        known_ids.add(level.id)
+        if level.first(AddMerge) is not None and any(
+                isinstance(a, (AddSelect, AddFrom, AddWhere, AddGroupBy, AddHaving))
+                for a in level.actions):
             violations.append(ShapeViolation(
                 path=prefix, kind="merge_mixed_with_clauses",
                 detail="add_merge cannot share a level with other query clauses"))
-
-    visit(seq, ())
     for path, ref in refs:
         if ref not in known_ids:
             violations.append(ShapeViolation(
                 path=path, kind="dangling_reference",
                 detail=f"no sequence with id {ref!r}"))
     return violations
-
-
-# ---------------------------------------------------------------------------
-# JSON form (used by traces)
-# ---------------------------------------------------------------------------
-
-
-def value_to_json(value: Value):
-    if isinstance(value, SubqueryRef):
-        return {"ref": value.sequence_id}
-    if isinstance(value, LiteralList):
-        return {"list": [value_to_json(v) for v in value.items]}
-    return {"kind": value.kind, "value": value.value}
-
-
-def action_to_json(action: Action) -> dict:
-    if isinstance(action, AddSelect):
-        return {"call": "add_select", "items": [
-            {"expression": i.expression, "aggregate": i.aggregate, "distinct": i.distinct}
-            for i in action.items]}
-    if isinstance(action, AddFrom):
-        return {"call": "add_from", "tables": list(action.tables), "joins": [
-            {"left": j.left.text(), "right": j.right.text()} for j in action.joins]}
-    if isinstance(action, AddWhere):
-        return {"call": "add_where", "column": action.column.text(), "op": action.op,
-                "value": value_to_json(action.value)}
-    if isinstance(action, AddGroupBy):
-        return {"call": "add_group_by", "columns": [c.text() for c in action.columns]}
-    if isinstance(action, AddHaving):
-        return {"call": "add_having",
-                "lhs": {"expression": action.lhs.expression, "aggregate": action.lhs.aggregate,
-                        "distinct": action.lhs.distinct},
-                "op": action.op, "value": value_to_json(action.value)}
-    if isinstance(action, AddOrderBy):
-        return {"call": "add_order_by",
-                "expression": {"expression": action.expression.expression,
-                               "aggregate": action.expression.aggregate,
-                               "distinct": action.expression.distinct},
-                "direction": action.direction}
-    if isinstance(action, AddLimit):
-        return {"call": "add_limit", "count": action.count}
-    if isinstance(action, AddMerge):
-        return {"call": "add_merge", "operator": action.operator,
-                "left": sequence_to_json(action.left), "right": sequence_to_json(action.right)}
-    if isinstance(action, QA):
-        return {"call": "qa", "question": action.sub_question,
-                "resolved": sequence_to_json(action.resolved) if action.resolved else None}
-    raise TypeError(f"not an action: {action!r}")
-
-
-def sequence_to_json(seq: ActionSequence) -> dict:
-    return {"id": seq.id, "actions": [action_to_json(a) for a in seq.actions]}

@@ -26,7 +26,7 @@ from .actions import (
     QA,
     SelectItem,
     SubqueryRef,
-    walk_sequences,
+    walk_levels,
 )
 
 SQLITE_KEYWORDS = frozenset("""
@@ -100,7 +100,7 @@ def _item_sql(item: SelectItem) -> str:
 class _Assembler:
     def __init__(self, root: ActionSequence, plan: ConnectivePlan):
         self.plan = plan
-        self.sequences = {s.id: s for s in walk_sequences(root)}
+        self.sequences = {level.id: level for _prefix, level in walk_levels(root)}
 
     def value_sql(self, action, value) -> str:
         if isinstance(value, SubqueryRef):

@@ -23,17 +23,16 @@ from .actions import (
     AddFrom,
     AddGroupBy,
     AddHaving,
-    AddMerge,
     AddOrderBy,
     AddSelect,
     AddWhere,
     ColumnRef,
     Literal,
     LiteralList,
-    QA,
     SelectItem,
+    walk_levels,
 )
-from .schema_catalog import SchemaCatalog
+from .schema_catalog import SchemaCatalog, connect_readonly
 
 UNKNOWN_TABLE = "UnknownTable"
 UNKNOWN_COLUMN = "UnknownColumn"
@@ -123,6 +122,8 @@ def load_rules(source) -> list[ConstraintRule]:
         if rule_id in seen:
             raise InvalidRuleConfig(f"duplicate rule_id {rule_id!r}")
         seen.add(rule_id)
+        if not isinstance(params, dict):
+            raise InvalidRuleConfig(f"rule {rule_id!r} params must be an object")
         column = _parse_rule_column(params.get("column", ""))
         if kind == "require_null_filter":
             rules.append(ConstraintRule(rule_id=rule_id, kind=kind, column=column))
@@ -282,18 +283,20 @@ def _scalar_literals(value) -> list[Literal]:
 def detect(seq: ActionSequence, catalog: SchemaCatalog,
            rules: list[ConstraintRule] | tuple = (), *,
            allow_name_equijoin: bool = False) -> list[DetectorFinding]:
-    """All findings for the sequence, document order, no early exit.
+    """All findings for the sequence, no early exit: each level's in
+    document order, levels in pre-order (the root before its children).
 
     Pure over immutable inputs; the database file behind the catalog is
     never opened.
     """
     findings: list[DetectorFinding] = []
-    _detect_level(seq, (), catalog, list(rules), allow_name_equijoin, findings)
+    for prefix, level in walk_levels(seq):
+        _detect_level(level, prefix, catalog, rules, allow_name_equijoin, findings)
     return findings
 
 
 def _detect_level(level: ActionSequence, prefix: tuple, catalog: SchemaCatalog,
-                  rules: list[ConstraintRule], allow_name_equijoin: bool,
+                  rules: list[ConstraintRule] | tuple, allow_name_equijoin: bool,
                   findings: list[DetectorFinding]) -> None:
     emitted: set[tuple] = set()
 
@@ -465,18 +468,6 @@ def _detect_level(level: ActionSequence, prefix: tuple, catalog: SchemaCatalog,
         for finding in _evaluate_rule_level(rule, level, prefix, resolver):
             emit(finding.kind, finding.action_path, finding.detail, **finding.machine_data)
 
-    # recurse into children, document order
-    for i, action in enumerate(level.actions):
-        path = prefix + (i,)
-        if isinstance(action, AddMerge):
-            _detect_level(action.left, path + ("left",), catalog, rules,
-                          allow_name_equijoin, findings)
-            _detect_level(action.right, path + ("right",), catalog, rules,
-                          allow_name_equijoin, findings)
-        elif isinstance(action, QA) and action.resolved is not None:
-            _detect_level(action.resolved, path + ("qa",), catalog, rules,
-                          allow_name_equijoin, findings)
-
 
 def _having_text(action: AddHaving) -> str:
     if action.lhs.aggregate:
@@ -552,26 +543,6 @@ def _evaluate_rule_level(rule: ConstraintRule, level: ActionSequence, prefix: tu
     return findings
 
 
-def evaluate_rule(rule: ConstraintRule, seq: ActionSequence,
-                  catalog: SchemaCatalog) -> list[DetectorFinding]:
-    """Evaluate one rule over the whole sequence tree."""
-    findings: list[DetectorFinding] = []
-
-    def visit(level: ActionSequence, prefix: tuple) -> None:
-        from_action = level.first(AddFrom)
-        resolver = _Resolver(catalog, list(from_action.tables) if from_action else [])
-        findings.extend(_evaluate_rule_level(rule, level, prefix, resolver))
-        for i, action in enumerate(level.actions):
-            if isinstance(action, AddMerge):
-                visit(action.left, prefix + (i, "left"))
-                visit(action.right, prefix + (i, "right"))
-            elif isinstance(action, QA) and action.resolved is not None:
-                visit(action.resolved, prefix + (i, "qa"))
-
-    visit(seq, ())
-    return findings
-
-
 # ---------------------------------------------------------------------------
 # DBMS-feedback mode
 # ---------------------------------------------------------------------------
@@ -592,7 +563,7 @@ def detect_via_dbms(seq: ActionSequence, db_path: str | Path, *,
                                 detail=f"assembly failed: {exc}",
                                 machine_data={"error": str(exc)})]
     try:
-        conn = sqlite3.connect(f"file:{Path(db_path)}?mode=ro", uri=True)
+        conn = connect_readonly(db_path)
     except sqlite3.Error as exc:
         return [DetectorFinding(kind=EXECUTION_ERROR, action_path=(),
                                 detail=str(exc), machine_data={"error": str(exc)})]

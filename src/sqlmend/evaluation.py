@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+from .schema_catalog import connect_readonly
+
 DEFAULT_TIMEOUT_S = 30.0
 FLOAT_REL_TOL = 1e-6
 
@@ -107,7 +109,7 @@ class EvalReport:
 def execute_sql(db_path: str | Path, sql: str,
                 timeout_s: float = DEFAULT_TIMEOUT_S) -> list[tuple]:
     """Run one query read-only with a wall-clock bound."""
-    conn = sqlite3.connect(f"file:{Path(db_path)}?mode=ro", uri=True)
+    conn = connect_readonly(db_path)
     deadline = time.monotonic() + timeout_s
     conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 10_000)
     try:
@@ -209,9 +211,6 @@ def execution_accuracy(pred: str, gold: str, db_path: str | Path,
 # ---------------------------------------------------------------------------
 
 _CLAUSE_KEYWORDS = ("select", "from", "where", "group by", "having", "order by", "limit")
-_EM_TOKEN_RE = re.compile(
-    r"""'(?:[^']|'')*'|"(?:[^"]|"")*"|\d+(?:\.\d+)?|[A-Za-z_]\w*|<>|<=|>=|!=|[^\s]"""
-)
 
 
 def _mask_literals(text: str) -> str:
@@ -475,7 +474,11 @@ def file_predictor(path: str | Path, examples: list[EvalExample]) -> Callable[[E
     if len(lines) != len(examples):
         raise DatasetFormatError(
             f"{path}: {len(lines)} predictions for {len(examples)} examples")
-    by_id = {example.id: line for example, line in zip(examples, lines)}
+    by_id: dict[str, str] = {}
+    for example, line in zip(examples, lines):
+        if example.id in by_id:
+            raise DatasetFormatError(f"{path}: duplicate example id {example.id!r}")
+        by_id[example.id] = line
 
     def predict(example: EvalExample) -> str:
         return by_id[example.id]

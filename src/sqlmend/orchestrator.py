@@ -18,17 +18,15 @@ from dataclasses import dataclass, field, replace
 
 from .actions import (
     ActionSequence,
-    AddHaving,
-    AddMerge,
-    AddWhere,
     CONDITIONAL_KINDS,
     Literal,
     ParseError,
     QA,
     assign_sequence_ids,
+    node_at,
     parse_actions,
-    sequence_to_json,
     serialize_actions,
+    walk,
 )
 from .detector import (
     ConstraintRule,
@@ -200,8 +198,7 @@ class RefinementTrace:
     def to_json_dict(self) -> dict:
         return {
             "iterations": [
-                {"actions": serialize_actions(seq), "structure": sequence_to_json(seq),
-                 "feedback": fb.to_json_dict()}
+                {"actions": serialize_actions(seq), "feedback": fb.to_json_dict()}
                 for seq, fb in self.iterations
             ],
             "final_actions": serialize_actions(self.final),
@@ -348,35 +345,27 @@ def resolve_qa(seq: ActionSequence, agent: AgentInterface, ctx: AgentContext,
     finding instead.
     """
     findings: list[DetectorFinding] = []
-
-    def visit(level: ActionSequence, depth: int, prefix: tuple) -> None:
-        for i, action in enumerate(level.actions):
-            path = prefix + (i,)
-            if isinstance(action, QA):
-                if action.resolved is None:
-                    if depth >= max_depth:
-                        findings.append(DetectorFinding(
-                            kind=UNRESOLVED_SUB_QUESTION, action_path=path,
-                            detail=f"sub-question depth limit ({max_depth}) reached",
-                            machine_data={"question": action.sub_question}))
-                        continue
-                    child_ctx = replace(ctx, question=action.sub_question)
-                    try:
-                        text = agent.generate(child_ctx)
-                    except AgentFailure as exc:
-                        findings.append(DetectorFinding(
-                            kind=UNRESOLVED_SUB_QUESTION, action_path=path,
-                            detail=f"agent failed on sub-question: {exc}",
-                            machine_data={"question": action.sub_question}))
-                        continue
-                    action.resolved = parse_actions(text).sequence
-                if action.resolved is not None:
-                    visit(action.resolved, depth + 1, path + ("qa",))
-            elif isinstance(action, AddMerge):
-                visit(action.left, depth, path + ("left",))
-                visit(action.right, depth, path + ("right",))
-
-    visit(seq, 0, ())
+    # the walk reads a qa() child only after the action is yielded, so a
+    # child resolved here is walked next, before the following sibling; an
+    # action's depth is the number of qa() children on its path
+    for path, _level, action in walk(seq):
+        if not isinstance(action, QA) or action.resolved is not None:
+            continue
+        if path.count("qa") >= max_depth:
+            findings.append(DetectorFinding(
+                kind=UNRESOLVED_SUB_QUESTION, action_path=path,
+                detail=f"sub-question depth limit ({max_depth}) reached",
+                machine_data={"question": action.sub_question}))
+            continue
+        try:
+            text = agent.generate(replace(ctx, question=action.sub_question))
+        except AgentFailure as exc:
+            findings.append(DetectorFinding(
+                kind=UNRESOLVED_SUB_QUESTION, action_path=path,
+                detail=f"agent failed on sub-question: {exc}",
+                machine_data={"question": action.sub_question}))
+            continue
+        action.resolved = parse_actions(text).sequence
     assign_sequence_ids(seq)
     return seq, findings
 
@@ -410,47 +399,17 @@ def _mismatch_columns(feedback: Feedback) -> set[tuple[str, str]]:
     return columns
 
 
-def _action_at(seq: ActionSequence, path: tuple):
-    level = seq
-    node = None
-    for step in path:
-        if step == "left":
-            level = node.left
-        elif step == "right":
-            level = node.right
-        elif step == "qa":
-            level = node.resolved
-        else:
-            node = level.actions[step]
-    return node
-
-
 def _apply_matched_values(seq: ActionSequence, feedback: Feedback) -> None:
     """Pin each matched condition to the ground-truth raw cell value."""
     for path, verdict in feedback.verdicts:
         if not isinstance(verdict, Matched):
             continue
-        action = _action_at(seq, path)
-        if isinstance(action, (AddWhere, AddHaving)) and isinstance(action.value, Literal) \
+        level, index = node_at(seq, path)
+        action = level.actions[index]
+        if isinstance(action, CONDITIONAL_KINDS) and isinstance(action.value, Literal) \
                 and action.value.kind == "text":
-            level, index = _level_of(seq, path)
             level.actions[index] = replace(action, value=Literal(kind="text",
                                                                  value=verdict.raw_value))
-
-
-def _level_of(seq: ActionSequence, path: tuple) -> tuple[ActionSequence, int]:
-    level = seq
-    node = None
-    for step in path[:-1]:
-        if step == "left":
-            level = node.left
-        elif step == "right":
-            level = node.right
-        elif step == "qa":
-            level = node.resolved
-        else:
-            node = level.actions[step]
-    return level, path[-1]
 
 
 def _fallback_conditionals(final: ActionSequence, initial: ActionSequence) -> ActionSequence:

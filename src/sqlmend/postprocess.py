@@ -213,10 +213,3 @@ def rewrite(sql: str, catalog: SchemaCatalog, index: CellIndex, *,
     for start, end, text in sorted(replacements, reverse=True):
         sql = sql[:start] + text + sql[end:]
     return sql
-
-
-def rewrite_lines(lines, catalog: SchemaCatalog, index: CellIndex, *,
-                  backend=None, min_score: float = 0.0) -> list[str]:
-    """Filter mode: one predicted SQL query per line."""
-    return [rewrite(line, catalog, index, backend=backend, min_score=min_score)
-            for line in lines]

@@ -22,12 +22,12 @@ from .actions import (
     ActionSequence,
     AddFrom,
     AddHaving,
-    AddMerge,
     AddWhere,
     ColumnRef,
+    CONDITIONAL_KINDS,
     Literal,
     LiteralList,
-    QA,
+    walk,
 )
 from .schema_catalog import CellIndex, SchemaCatalog, normalize_cell
 
@@ -236,24 +236,14 @@ def check_condition(action: Action, catalog: SchemaCatalog, index: CellIndex, *,
 
 def inspect_sequence(seq: ActionSequence, catalog: SchemaCatalog, index: CellIndex, *,
                      k: int = DEFAULT_CANDIDATES, backend=None) -> list[tuple[tuple, ConditionVerdict]]:
-    """One verdict per conditional action, document order, recursing into
-    merge and resolved-QA children. Paths index into the sequence tree.
+    """One verdict per conditional action, in walk order, merge and
+    resolved-QA children included. Paths index into the sequence tree.
     """
     out: list[tuple[tuple, ConditionVerdict]] = []
-
-    def visit(level: ActionSequence, prefix: tuple) -> None:
-        from_action = level.first(AddFrom)
-        scope = list(from_action.tables) if from_action is not None else None
-        for i, action in enumerate(level.actions):
-            path = prefix + (i,)
-            if isinstance(action, (AddWhere, AddHaving)):
-                out.append((path, check_condition(action, catalog, index, k=k,
-                                                  backend=backend, scope_tables=scope)))
-            elif isinstance(action, AddMerge):
-                visit(action.left, path + ("left",))
-                visit(action.right, path + ("right",))
-            elif isinstance(action, QA) and action.resolved is not None:
-                visit(action.resolved, path + ("qa",))
-
-    visit(seq, ())
+    for path, level, action in walk(seq):
+        if isinstance(action, CONDITIONAL_KINDS):
+            from_action = level.first(AddFrom)
+            scope = list(from_action.tables) if from_action is not None else None
+            out.append((path, check_condition(action, catalog, index, k=k,
+                                              backend=backend, scope_tables=scope)))
     return out

@@ -198,11 +198,21 @@ class CellIndex:
         return len(self._columns)
 
 
-def _connect_readonly(db_path: str | Path) -> sqlite3.Connection:
+def connect_readonly(db_path: str | Path) -> sqlite3.Connection:
+    """Open a database file read-only.
+
+    The path travels as an escaped file: URI, so a ``?`` or ``#`` in it
+    stays part of the name; a missing file raises sqlite3.Error instead of
+    being created.
+    """
+    return sqlite3.connect(Path(db_path).resolve().as_uri() + "?mode=ro", uri=True)
+
+
+def _connect_existing(db_path: str | Path) -> sqlite3.Connection:
     path = Path(db_path)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    return sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+    return connect_readonly(path)
 
 
 def _quote_ident(name: str) -> str:
@@ -216,7 +226,7 @@ def load_catalog(db_path: str | Path) -> SchemaCatalog:
     FileNotFoundError for a missing path and CorruptDatabase for a file
     that is not a readable database.
     """
-    conn = _connect_readonly(db_path)
+    conn = _connect_existing(db_path)
     try:
         try:
             rows = conn.execute(
@@ -272,7 +282,7 @@ def build_cell_index(catalog: SchemaCatalog, db_path: str | Path,
     Columns with more than `cap` distinct values keep the most frequent
     `cap` of them.
     """
-    conn = _connect_readonly(db_path)
+    conn = _connect_existing(db_path)
     try:
         columns: dict[tuple[str, str], ColumnCells] = {}
         for table in catalog.tables:

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import json
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +18,6 @@ from sqlmend.actions import (
     SubqueryRef,
     assign_sequence_ids,
     parse_actions,
-    sequence_to_json,
     serialize_actions,
     validate_shape,
 )
@@ -187,13 +184,6 @@ def test_sequence_ids_are_positional():
     assert merge.right.id == "s.0.right"
 
 
-def test_json_form_is_serializable():
-    seq = parse_actions('add_select(title)\nadd_from(episode)\n'
-                        'add_where(written_by, =, "Todd Casey")').sequence
-    payload = json.dumps(sequence_to_json(seq), sort_keys=True)
-    assert "add_where" in payload
-
-
 @given(sequences())
 @settings(max_examples=300, deadline=None)
 def test_round_trip_parse_serialize(seq):
@@ -258,4 +248,28 @@ add_where(id, IN, @nowhere)
         ("duplicate_clause", (0, "left", 3, "qa", 1)),
         ("merge_mixed_with_clauses", ()),
         ("dangling_reference", (1,)),
+    ]
+
+
+def test_validate_shape_reports_mixed_levels_after_all_action_checks():
+    # merge_mixed_with_clauses is a per-level check made after the walk
+    # over the actions, for each mixed level in pre-order
+    text = """add_select(a)
+add_merge(UNION):
+    left:
+        add_select(b)
+        add_merge(EXCEPT):
+            left:
+                add_select(c)
+            right:
+                add_select(d)
+    right:
+        add_select(e)
+add_select(f)
+"""
+    seq = parse_actions(text).sequence
+    assert [(v.kind, v.path) for v in validate_shape(seq)] == [
+        ("duplicate_clause", (2,)),
+        ("merge_mixed_with_clauses", ()),
+        ("merge_mixed_with_clauses", (1, "left")),
     ]

@@ -226,6 +226,19 @@ def test_usage_error_exits_two(capsys):
     assert exc.value.code == 2
 
 
+def test_malformed_rule_params_exit_one_with_json(capsys, episode_db, tmp_path):
+    actions = tmp_path / "a.actions"
+    actions.write_text(CLEAN_ACTIONS)
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps([{"rule_id": "nn", "kind": "require_null_filter",
+                                  "params": "oops"}]))
+    code, out, err = run_cli(capsys, "detect", str(episode_db),
+                             "--actions", str(actions), "--rules", str(rules))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "InvalidRuleConfig"
+
+
 def test_operational_error_exits_one_with_json(capsys, tmp_path):
     code, _out, err = run_cli(capsys, "schema", str(tmp_path / "missing.sqlite"))
     assert code == 1

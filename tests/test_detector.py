@@ -277,6 +277,7 @@ def test_value_format_rule_nonconforming_literal(episode_catalog):
     [{"rule_id": "x", "kind": "require_null_filter", "params": {"column": "a"}},
      {"rule_id": "x", "kind": "require_null_filter", "params": {"column": "b"}}],
     {"rule_id": "x"},
+    [{"rule_id": "x", "kind": "require_null_filter", "params": "oops"}],
 ])
 def test_invalid_rule_configs_fail_at_load(bad):
     with pytest.raises(InvalidRuleConfig):

@@ -235,6 +235,15 @@ def test_file_predictor_alignment(toy_dataset, tmp_path):
         file_predictor(pred_file, examples)
 
 
+def test_file_predictor_rejects_duplicate_ids(toy_dataset, tmp_path):
+    examples, _ = load_dataset(toy_dataset)
+    examples[2].id = examples[0].id
+    pred_file = tmp_path / "preds.sql"
+    pred_file.write_text("\n".join(ex.gold_sql for ex in examples) + "\n")
+    with pytest.raises(DatasetFormatError, match="duplicate example id 'e0'"):
+        file_predictor(pred_file, examples)
+
+
 def test_report_text_table(toy_dataset):
     report = run_benchmark(toy_dataset, lambda ex: ex.gold_sql)
     table = report.format_table()

@@ -66,6 +66,37 @@ def test_load_catalog_missing_file(tmp_path):
         load_catalog(tmp_path / "nope.sqlite")
 
 
+def test_readonly_opens_keep_uri_characters_in_the_path(tmp_path):
+    from sqlmend.actions import parse_actions
+    from sqlmend.detector import detect_via_dbms
+    from sqlmend.evaluation import execute_sql
+
+    db_dir = tmp_path / "we?ird#dir"
+    db_dir.mkdir()
+    db = db_dir / "x.sqlite"
+    conn = sqlite3.connect(db)
+    conn.execute("CREATE TABLE t (v TEXT)")
+    conn.execute("INSERT INTO t VALUES ('a')")
+    conn.commit()
+    conn.close()
+    before = sorted(tmp_path.rglob("*"))
+
+    catalog = load_catalog(db)
+    assert [t.name for t in catalog.tables] == ["t"]
+    assert build_cell_index(catalog, db).column_cells("t", "v").raw_values() == ("a",)
+    assert execute_sql(db, "SELECT v FROM t") == [("a",)]
+    assert detect_via_dbms(parse_actions("add_select(v)\nadd_from(t)").sequence, db) == []
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_execute_sql_on_a_missing_file_is_an_engine_error(tmp_path):
+    from sqlmend.evaluation import execute_sql
+
+    with pytest.raises(sqlite3.Error):
+        execute_sql(tmp_path / "nope.sqlite", "SELECT 1")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_catalog_corrupt_file(tmp_path):
     bad = tmp_path / "bad.sqlite"
     bad.write_text("this is not a database at all, not even close padding padding")
