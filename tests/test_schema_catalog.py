@@ -201,3 +201,99 @@ def test_catalog_json_export_is_stable(episode_catalog):
     assert parsed["foreign_keys"] == [{
         "table": "pairing", "column": "episode_id",
         "references_table": "episode", "references_column": "id"}]
+
+
+# ---------------------------------------------------------------------------
+# Which table owns a condition's column: each caller's policy, pinned through
+# its public entry point. In the fixture `guest` lives in pairing only,
+# `title` in episode only, and `id` in all three tables.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("from_line, column, value, verdict, finding_kinds", [
+    # a column from a table missing from add_from: the retriever skips it,
+    # the detector still finds its owner and reports the missing join
+    ("add_from(network)", "guest", "Moon Bloodgood", "not_applicable",
+     ["JoinAbsence", "JoinRedundancy"]),
+    # unknown scope names are skipped
+    ("add_from(nosuch)", "guest", "Moon Bloodgood", "not_applicable",
+     ["UnknownTable", "JoinAbsence"]),
+    # a repeated scope table counts twice
+    ("add_from(episode, Episode)", "title", "Double Down", "not_applicable",
+     ["AmbiguousColumn", "AmbiguousColumn"]),
+    # no add_from: the whole catalog is the scope
+    ("", "guest", "Moon Bloodgood", "matched", ["JoinAbsence"]),
+])
+def test_condition_column_scope_policy(episode_catalog, episode_index, from_line,
+                                       column, value, verdict, finding_kinds):
+    from sqlmend.actions import parse_actions
+    from sqlmend.detector import detect
+    from sqlmend.orchestrator import verdict_to_json
+    from sqlmend.retriever import inspect_sequence
+
+    seq = parse_actions(f"add_select({column})\n{from_line}\n"
+                        f'add_where({column}, =, "{value}")').sequence
+    [(_path, got)] = inspect_sequence(seq, episode_catalog, episode_index)
+    assert verdict_to_json(got)["status"] == verdict
+    assert [f.kind for f in detect(seq, episode_catalog)] == finding_kinds
+
+
+@pytest.mark.parametrize("actions, finding_kinds", [
+    # no add_from and several owners: unknown, not ambiguous
+    ("add_select(id)", ["UnknownColumn"]),
+    ("add_select(id)\nadd_from(network)", []),
+    ("add_select(id)\nadd_from(network, pairing)", ["AmbiguousColumn"]),
+    # no known scope table and several owners: unknown
+    ("add_select(id)\nadd_from(nosuch)", ["UnknownTable", "UnknownColumn"]),
+    ("add_select(pairing.id)\nadd_from(network)", ["JoinAbsence", "JoinRedundancy"]),
+    ("add_select(pairing.nope)\nadd_from(pairing)", ["UnknownColumn"]),
+])
+def test_detector_column_resolution_policy(episode_catalog, actions, finding_kinds):
+    from sqlmend.actions import parse_actions
+    from sqlmend.detector import detect
+
+    seq = parse_actions(actions).sequence
+    assert [f.kind for f in detect(seq, episode_catalog)] == finding_kinds
+
+
+@pytest.mark.parametrize("sql, rewritten", [
+    # a scope table that does not own the column: untouched
+    ("SELECT guest FROM network WHERE guest = 'Moon Bloodgod'", False),
+    # no known FROM table: the whole catalog is the scope
+    ("SELECT guest FROM nosuch WHERE guest = 'Moon Bloodgod'", True),
+    ("SELECT 1 WHERE guest = 'Moon Bloodgod'", True),
+    # a repeated scope table counts twice
+    ("SELECT title FROM episode, Episode WHERE title = 'double down'", False),
+    # qualified references ignore the scope
+    ("SELECT 1 FROM network WHERE pairing.guest = 'Moon Bloodgod'", True),
+    ("SELECT 1 FROM pairing WHERE nosuch.guest = 'Moon Bloodgod'", False),
+])
+def test_rewrite_column_scope_policy(episode_catalog, episode_index, sql, rewritten):
+    from sqlmend.postprocess import rewrite
+
+    fixed = rewrite(sql, episode_catalog, episode_index)
+    assert fixed == (sql.replace("Bloodgod", "Bloodgood").replace("double down", "Double Down")
+                     if rewritten else sql)
+
+
+@pytest.mark.parametrize("column, swapped", [
+    ("guest", True),           # unique owner in the catalog, no scope
+    ("pairing.guest", True),
+    ("nosuch.guest", False),
+    ("pairing.nope", False),
+    ("id", False),             # several owners
+])
+def test_replace_common_value_column_policy(episode_catalog, episode_index, column, swapped):
+    from sqlmend.perturb import AnnotatedExample, NoApplicableSpan, Span, ValueSpan
+    from sqlmend.perturb import replace_common_value
+
+    example = AnnotatedExample(
+        question="Moon Bloodgood?", db_id="episodes",
+        gold_sql="SELECT * FROM network WHERE guest = 'Moon Bloodgood'",
+        value_spans=(ValueSpan(span=Span(0, 14), column=column, literal="Moon Bloodgood"),))
+    if swapped:
+        out = replace_common_value(example, episode_catalog, episode_index, rng_seed=0)
+        assert out.question == "Garret Dillahunt?"
+    else:
+        with pytest.raises(NoApplicableSpan):
+            replace_common_value(example, episode_catalog, episode_index, rng_seed=0)
