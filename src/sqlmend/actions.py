@@ -45,7 +45,9 @@ AGGREGATES = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 MERGE_OPERATORS = ("UNION", "INTERSECT", "EXCEPT")
 DIRECTIONS = ("ASC", "DESC")
 
-_IDENT_RE = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)?$")
+# an identifier, bare or table-qualified; the rule loader validates its
+# column references with it too
+IDENT_RE = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)?$")
 _TABLE_RE = re.compile(r"[A-Za-z_]\w*$")
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
 _CALL_RE = re.compile(r"([A-Za-z_]\w*)\s*\((.*)\)\s*(:)?\s*$")
@@ -64,6 +66,12 @@ _STRING_RE = re.compile(r"(['\"])(?:\\.|(?!\1).)*\1$", re.DOTALL)
 class ColumnRef:
     column: str
     table: str | None = None
+
+    @classmethod
+    def parse(cls, text: str) -> "ColumnRef":
+        """Split ``table.column`` at its first dot; no dot means unqualified."""
+        table, dot, column = text.partition(".")
+        return cls(column=column, table=table) if dot else cls(column=text)
 
     def text(self) -> str:
         return f"{self.table}.{self.column}" if self.table else self.column
@@ -344,7 +352,7 @@ def _parse_scalar(token: str) -> Literal | SubqueryRef:
         if not re.match(r"[\w.]+$", ref):
             raise _ArgError(f"malformed sequence reference {token!r}")
         return SubqueryRef(sequence_id=ref)
-    if _IDENT_RE.match(token):
+    if IDENT_RE.match(token):
         return Literal(kind="raw", value=token)
     raise _ArgError(f"malformed value {token!r}")
 
@@ -364,12 +372,9 @@ def _parse_value(token: str) -> Value:
 
 
 def _parse_column(token: str) -> ColumnRef:
-    if not _IDENT_RE.match(token):
+    if not IDENT_RE.match(token):
         raise _ArgError(f"malformed column reference {token!r}")
-    if "." in token:
-        table, column = token.split(".", 1)
-        return ColumnRef(column=column, table=table)
-    return ColumnRef(column=token)
+    return ColumnRef.parse(token)
 
 
 def _parse_op(token: str) -> str:
@@ -397,13 +402,13 @@ def _parse_select_item(token: str) -> SelectItem:
         if re.match(r"distinct\s+", inner, re.IGNORECASE):
             inner_distinct = True
             inner = re.split(r"\s+", inner, maxsplit=1)[1].strip()
-        if inner != "*" and not _IDENT_RE.match(inner):
+        if inner != "*" and not IDENT_RE.match(inner):
             raise _ArgError(f"malformed aggregate argument {inner!r}")
         return SelectItem(expression=inner, aggregate=agg_match.group(1).upper(),
                           distinct=distinct or inner_distinct)
     if body == "*":
         return SelectItem(expression="*", distinct=distinct)
-    if _IDENT_RE.match(body):
+    if IDENT_RE.match(body):
         return SelectItem(expression=body, distinct=distinct)
     raise _ArgError(f"malformed select item {token!r}")
 

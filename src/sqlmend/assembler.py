@@ -21,6 +21,7 @@ from .actions import (
     AddOrderBy,
     AddSelect,
     AddWhere,
+    ColumnRef,
     Literal,
     LiteralList,
     QA,
@@ -68,10 +69,10 @@ def quote_identifier(name: str) -> str:
 def _column_sql(text: str) -> str:
     if text == "*":
         return "*"
-    if "." in text:
-        table, column = text.split(".", 1)
-        return f"{quote_identifier(table)}.{quote_identifier(column)}"
-    return quote_identifier(text)
+    ref = ColumnRef.parse(text)
+    if ref.table is None:
+        return quote_identifier(text)
+    return f"{quote_identifier(ref.table)}.{quote_identifier(ref.column)}"
 
 
 def _text_sql(value: str) -> str:

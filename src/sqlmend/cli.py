@@ -100,11 +100,7 @@ def _cmd_schema(args) -> int:
 def _cmd_retrieve(args) -> int:
     catalog = load_catalog(args.db)
     index = build_cell_index(catalog, args.db)
-    table = None
-    column = args.column
-    if "." in column:
-        table, column = column.split(".", 1)
-    action = AddWhere(column=ColumnRef(column=column, table=table), op=args.op,
+    action = AddWhere(column=ColumnRef.parse(args.column), op=args.op,
                       value=text_literal(args.value))
     verdict = check_condition(action, catalog, index, k=args.k)
     _emit(verdict_to_json(verdict))

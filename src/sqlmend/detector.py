@@ -17,6 +17,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .actions import (
     ActionSequence,
@@ -27,12 +28,13 @@ from .actions import (
     AddSelect,
     AddWhere,
     ColumnRef,
+    IDENT_RE,
     Literal,
     LiteralList,
     SelectItem,
     walk_levels,
 )
-from .schema_catalog import SchemaCatalog, connect_readonly
+from .schema_catalog import Resolution, SchemaCatalog, connect_readonly
 
 UNKNOWN_TABLE = "UnknownTable"
 UNKNOWN_COLUMN = "UnknownColumn"
@@ -87,13 +89,10 @@ class ConstraintRule:
     pattern: str | None = None
 
 
-def _parse_rule_column(text: str) -> ColumnRef:
-    if not re.match(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)?$", text or ""):
+def _parse_rule_column(text) -> ColumnRef:
+    if not isinstance(text, str) or not IDENT_RE.match(text):
         raise InvalidRuleConfig(f"bad column reference {text!r}")
-    if "." in text:
-        table, column = text.split(".", 1)
-        return ColumnRef(column=column, table=table)
-    return ColumnRef(column=text)
+    return ColumnRef.parse(text)
 
 
 def load_rules(source) -> list[ConstraintRule]:
@@ -155,12 +154,7 @@ class _ColumnUse:
 
 
 def _item_column(item: SelectItem) -> ColumnRef | None:
-    if item.expression == "*":
-        return None
-    if "." in item.expression:
-        table, column = item.expression.split(".", 1)
-        return ColumnRef(column=column, table=table)
-    return ColumnRef(column=item.expression)
+    return None if item.expression == "*" else ColumnRef.parse(item.expression)
 
 
 def _collect_uses(level: ActionSequence, prefix: tuple) -> list[_ColumnUse]:
@@ -191,37 +185,11 @@ def _collect_uses(level: ActionSequence, prefix: tuple) -> list[_ColumnUse]:
     return uses
 
 
-class _Resolver:
-    """Resolves column references against the level's FROM scope, falling
-    back to the whole catalog so out-of-scope tables surface as
-    JoinAbsence rather than UnknownColumn.
-    """
+# the detector binds a column that only a table outside add_from owns, so
+# the missing table surfaces as JoinAbsence rather than UnknownColumn
+_BOUND = ("ok", "out_of_scope")
 
-    def __init__(self, catalog: SchemaCatalog, scope_tables: list[str]):
-        self.catalog = catalog
-        self.scope = [t for t in scope_tables if catalog.table(t) is not None]
-
-    def resolve(self, ref: ColumnRef):
-        """Returns ("ok", table, column) | ("unknown",) | ("ambiguous",) |
-        ("unknown_table",)."""
-        if ref.table is not None:
-            table = self.catalog.table(ref.table)
-            if table is None:
-                return ("unknown_table",)
-            column = table.column(ref.column)
-            if column is None:
-                return ("unknown",)
-            return ("ok", table, column)
-        in_scope = [self.catalog.table(t) for t in self.scope
-                    if self.catalog.table(t).has_column(ref.column)]
-        if len(in_scope) == 1:
-            return ("ok", in_scope[0], in_scope[0].column(ref.column))
-        if len(in_scope) > 1:
-            return ("ambiguous",)
-        owners = self.catalog.tables_with_column(ref.column)
-        if len(owners) == 1:
-            return ("ok", owners[0], owners[0].column(ref.column))
-        return ("unknown",)
+_Resolve = Callable[[ColumnRef], Resolution]
 
 
 def _fk_graph(catalog: SchemaCatalog) -> dict[str, set[str]]:
@@ -331,21 +299,22 @@ def _detect_level(level: ActionSequence, prefix: tuple, catalog: SchemaCatalog,
                 emit(UNKNOWN_TABLE, from_path, f"table {ref.table!r} does not exist",
                      table=ref.table)
 
-    resolver = _Resolver(catalog, from_tables)
+    def resolve(ref: ColumnRef) -> Resolution:
+        return catalog.resolve(ref.table, ref.column, from_tables)
 
     # (b) column resolution
     resolved_uses: list[tuple[_ColumnUse, object, object]] = []
     resolution_failed = False
     for use in uses:
-        outcome = resolver.resolve(use.ref)
-        if outcome[0] == "ok":
-            resolved_uses.append((use, outcome[1], outcome[2]))
+        found = resolve(use.ref)
+        if found.status in _BOUND:
+            resolved_uses.append((use, found.table, found.column))
             continue
         resolution_failed = True
-        if outcome[0] == "unknown":
+        if found.status == "unknown_column":
             emit(UNKNOWN_COLUMN, use.path, f"column {use.ref.text()!r} does not resolve",
                  column=use.ref.text())
-        elif outcome[0] == "ambiguous":
+        elif found.status == "ambiguous":
             emit(AMBIGUOUS_COLUMN, use.path,
                  f"column {use.ref.text()!r} matches more than one table in scope",
                  column=use.ref.text())
@@ -362,9 +331,8 @@ def _detect_level(level: ActionSequence, prefix: tuple, catalog: SchemaCatalog,
 
     # (c) foreign-key consistency of joins
     for join in joins:
-        left_ok = catalog.resolve_column(join.left.table, join.left.column)
-        right_ok = catalog.resolve_column(join.right.table, join.right.column)
-        if left_ok is None or right_ok is None:
+        if any(catalog.resolve(ref.table, ref.column).status != "ok"
+               for ref in (join.left, join.right)):
             continue
         if catalog.is_foreign_key_pair(join.left.table, join.left.column,
                                        join.right.table, join.right.column):
@@ -417,10 +385,10 @@ def _detect_level(level: ActionSequence, prefix: tuple, catalog: SchemaCatalog,
                 ref, aggregate = _item_column(action.lhs), action.lhs.aggregate
             if ref is None or aggregate is not None:
                 continue
-            outcome = resolver.resolve(ref)
-            if outcome[0] != "ok":
+            found = resolve(ref)
+            if found.status not in _BOUND:
                 continue
-            _table, column = outcome[1], outcome[2]
+            column = found.column
             for literal in _scalar_literals(action.value):
                 if column.affinity == "TEXT" and literal.kind == "number":
                     emit(TYPE_MISMATCH, path,
@@ -449,11 +417,11 @@ def _detect_level(level: ActionSequence, prefix: tuple, catalog: SchemaCatalog,
                  "select mixes aggregated and bare columns without add_group_by",
                  bare=[i.expression for i in bare])
         if group_by is not None:
-            grouped = {_group_key(resolver, c) for c in group_by.columns}
+            grouped = {_group_key(resolve, c) for c in group_by.columns}
             group_index = next(i for i, a in enumerate(level.actions) if isinstance(a, AddGroupBy))
             for item in bare:
                 ref = _item_column(item)
-                key = _group_key(resolver, ref) if ref is not None else item.expression
+                key = _group_key(resolve, ref) if ref is not None else item.expression
                 if key not in grouped:
                     emit(GROUP_BY_IMPROPER, prefix + (group_index,),
                          f"selected column {item.expression!r} is missing from add_group_by",
@@ -465,7 +433,7 @@ def _detect_level(level: ActionSequence, prefix: tuple, catalog: SchemaCatalog,
 
     # (g) user-defined constraint rules
     for rule in rules:
-        for finding in _evaluate_rule_level(rule, level, prefix, resolver):
+        for finding in _evaluate_rule_level(rule, level, prefix, resolve):
             emit(finding.kind, finding.action_path, finding.detail, **finding.machine_data)
 
 
@@ -475,10 +443,10 @@ def _having_text(action: AddHaving) -> str:
     return action.lhs.expression
 
 
-def _group_key(resolver: _Resolver, ref: ColumnRef):
-    outcome = resolver.resolve(ref)
-    if outcome[0] == "ok":
-        return (outcome[1].name.lower(), outcome[2].name.lower())
+def _group_key(resolve: _Resolve, ref: ColumnRef):
+    found = resolve(ref)
+    if found.status in _BOUND:
+        return (found.table.name.lower(), found.column.name.lower())
     return ref.text().lower()
 
 
@@ -487,21 +455,21 @@ def _group_key(resolver: _Resolver, ref: ColumnRef):
 # ---------------------------------------------------------------------------
 
 
-def _rule_matches(rule: ConstraintRule, resolver: _Resolver, ref: ColumnRef | None) -> bool:
+def _rule_matches(rule: ConstraintRule, resolve: _Resolve, ref: ColumnRef | None) -> bool:
     if ref is None:
         return False
     if ref.column.lower() != rule.column.column.lower():
         return False
     if rule.column.table is None:
         return True
-    outcome = resolver.resolve(ref)
-    if outcome[0] != "ok":
+    found = resolve(ref)
+    if found.status not in _BOUND:
         return ref.table is not None and ref.table.lower() == rule.column.table.lower()
-    return outcome[1].name.lower() == rule.column.table.lower()
+    return found.table.name.lower() == rule.column.table.lower()
 
 
 def _evaluate_rule_level(rule: ConstraintRule, level: ActionSequence, prefix: tuple,
-                         resolver: _Resolver) -> list[DetectorFinding]:
+                         resolve: _Resolve) -> list[DetectorFinding]:
     findings: list[DetectorFinding] = []
     if rule.kind == "require_null_filter":
         references: list[tuple] = []
@@ -510,9 +478,9 @@ def _evaluate_rule_level(rule: ConstraintRule, level: ActionSequence, prefix: tu
             path = prefix + (i,)
             if isinstance(action, AddSelect):
                 for item in action.items:
-                    if _rule_matches(rule, resolver, _item_column(item)):
+                    if _rule_matches(rule, resolve, _item_column(item)):
                         references.append(path)
-            elif isinstance(action, AddWhere) and _rule_matches(rule, resolver, action.column):
+            elif isinstance(action, AddWhere) and _rule_matches(rule, resolve, action.column):
                 value = action.value
                 if action.op == "!=" and isinstance(value, Literal) and value.kind == "null":
                     guarded = True
@@ -530,7 +498,7 @@ def _evaluate_rule_level(rule: ConstraintRule, level: ActionSequence, prefix: tu
             if not isinstance(action, (AddWhere, AddHaving)):
                 continue
             ref = action.column if isinstance(action, AddWhere) else _item_column(action.lhs)
-            if not _rule_matches(rule, resolver, ref):
+            if not _rule_matches(rule, resolve, ref):
                 continue
             for literal in _scalar_literals(action.value):
                 if literal.kind == "text" and not pattern.fullmatch(literal.value):

@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .actions import ColumnRef
 from .schema_catalog import CellIndex, SchemaCatalog
 
 QUOTE_CHARS = "\"'`“”‘’"
@@ -202,10 +203,11 @@ def replace_common_value(example: AnnotatedExample, catalog: SchemaCatalog,
     correct.
     """
     for value in sorted(example.value_spans, key=lambda v: v.span.start):
-        resolved = _resolve(value.column, catalog)
-        if resolved is None:
+        ref = ColumnRef.parse(value.column)
+        found = catalog.resolve(ref.table, ref.column)
+        if found.status != "ok":
             continue
-        cells = index.column_cells(*resolved)
+        cells = index.column_cells(found.table.name, found.column.name)
         if cells is None or len(cells.cells) < 2:
             continue
         candidates = sorted(raw for raw in cells.raw_values() if raw != value.literal)
@@ -219,17 +221,6 @@ def replace_common_value(example: AnnotatedExample, catalog: SchemaCatalog,
             for v in spliced.value_spans)
         return replace(spliced, gold_sql=new_gold, value_spans=value_spans)
     raise NoApplicableSpan("no value span backed by a column with 2+ distinct cells")
-
-
-def _resolve(column: str, catalog: SchemaCatalog) -> tuple[str, str] | None:
-    if "." in column:
-        table, name = column.split(".", 1)
-        resolved = catalog.resolve_column(table, name)
-    else:
-        resolved = catalog.resolve_column(None, column)
-    if resolved is None:
-        return None
-    return resolved[0].name, resolved[1].name
 
 
 def _replace_sql_literal(sql: str, old: str, new: str) -> str:

@@ -161,33 +161,6 @@ def _from_scope(sql: str) -> tuple[list[str], dict[str, str]]:
     return tables, aliases
 
 
-def resolve_condition_column(condition: ExtractedCondition, sql: str,
-                             catalog: SchemaCatalog) -> tuple[str, str] | None:
-    """Resolve the condition's column to a unique (table, column) pair via
-    the FROM-clause table set; ambiguity or failure resolves to None.
-    """
-    tables, aliases = _from_scope(sql)
-    if condition.table is not None:
-        name = aliases.get(condition.table.lower(), condition.table)
-        resolved = catalog.resolve_column(name, condition.column)
-        if resolved is None:
-            return None
-        return resolved[0].name, resolved[1].name
-    scope = [t for t in tables if catalog.table(t) is not None]
-    owners = [t for t in scope if catalog.table(t).has_column(condition.column)]
-    if not scope:
-        resolved = catalog.resolve_column(None, condition.column)
-        if resolved is None:
-            return None
-        return resolved[0].name, resolved[1].name
-    if len(owners) != 1:
-        return None
-    resolved = catalog.resolve_column(owners[0], condition.column)
-    if resolved is None:
-        return None
-    return resolved[0].name, resolved[1].name
-
-
 def rewrite(sql: str, catalog: SchemaCatalog, index: CellIndex, *,
             backend=None, min_score: float = 0.0) -> str:
     """Replace each extracted literal with the most similar raw cell of its
@@ -195,12 +168,18 @@ def rewrite(sql: str, catalog: SchemaCatalog, index: CellIndex, *,
     untouched; everything outside literal spans is byte-preserved.
     """
     backend = backend or TrigramBackend()
+    tables, aliases = _from_scope(sql)
+    # a query naming no known table leaves the whole catalog as the scope
+    scope = [t for t in tables if catalog.table(t) is not None] or None
     replacements: list[tuple[int, int, str]] = []
     for condition in extract_conditions(sql):
-        resolved = resolve_condition_column(condition, sql, catalog)
-        if resolved is None:
+        table = condition.table
+        if table is not None:
+            table = aliases.get(table.lower(), table)
+        found = catalog.resolve(table, condition.column, scope)
+        if found.status != "ok":
             continue
-        cells = index.column_cells(*resolved)
+        cells = index.column_cells(found.table.name, found.column.name)
         if cells is None or not cells.cells:
             continue
         raws = cells.raw_values()

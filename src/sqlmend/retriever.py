@@ -148,10 +148,7 @@ def _extract_condition_column(action: Action) -> ColumnRef | None:
     if isinstance(action, AddHaving):
         if action.lhs.aggregate is not None or action.lhs.expression == "*":
             return None
-        if "." in action.lhs.expression:
-            table, column = action.lhs.expression.split(".", 1)
-            return ColumnRef(column=column, table=table)
-        return ColumnRef(column=action.lhs.expression)
+        return ColumnRef.parse(action.lhs.expression)
     return None
 
 
@@ -200,18 +197,10 @@ def check_condition(action: Action, catalog: SchemaCatalog, index: CellIndex, *,
     if column is None:
         return NotApplicable(reason="aggregate expression")
 
-    if column.table is not None:
-        resolved = catalog.resolve_column(column.table, column.column)
-    else:
-        scope = list(scope_tables) if scope_tables else [t.name for t in catalog.tables]
-        owners = [t for t in scope
-                  if catalog.table(t) is not None and catalog.table(t).has_column(column.column)]
-        if len(owners) != 1:
-            return NotApplicable(reason=f"column {column.text()!r} does not resolve uniquely")
-        resolved = catalog.resolve_column(owners[0], column.column)
-    if resolved is None:
+    found = catalog.resolve(column.table, column.column, scope_tables or None)
+    if found.status != "ok":
         return NotApplicable(reason=f"column {column.text()!r} does not resolve uniquely")
-    table_info, column_info = resolved
+    table_info, column_info = found.table, found.column
     if column_info.affinity != "TEXT":
         return NotApplicable(reason=f"non-text column ({column_info.affinity})")
 

@@ -12,6 +12,7 @@ import re
 import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 AFFINITIES = ("TEXT", "INTEGER", "REAL", "NUMERIC", "BOOLEAN", "DATE", "OTHER")
 
@@ -91,6 +92,17 @@ class ForeignKeyLink:
 
 
 @dataclass(frozen=True)
+class Resolution:
+    """What SchemaCatalog.resolve decided: a status, plus the owning table
+    and column when the status is "ok" or "out_of_scope".
+    """
+
+    status: str  # ok | out_of_scope | ambiguous | unknown_table | unknown_column
+    table: TableInfo | None = None
+    column: ColumnInfo | None = None
+
+
+@dataclass(frozen=True)
 class SchemaCatalog:
     tables: tuple[TableInfo, ...]
     foreign_keys: tuple[ForeignKeyLink, ...]
@@ -103,27 +115,36 @@ class SchemaCatalog:
                 return tab
         return None
 
-    def tables_with_column(self, column: str) -> list[TableInfo]:
-        return [t for t in self.tables if t.has_column(column)]
+    def resolve(self, table: str | None, column: str,
+                scope: Sequence[str] | None = None) -> Resolution:
+        """Decide which table owns a column reference.
 
-    def resolve_column(self, table: str | None, column: str) -> tuple[TableInfo, ColumnInfo] | None:
-        """Resolve (table?, column) to a unique (TableInfo, ColumnInfo) pair.
-
-        Qualified lookups must hit; unqualified lookups must be unique
-        across the catalog. Returns None otherwise.
+        A qualified reference (`table` given) is "ok" when the table and
+        its column exist, else "unknown_table" or "unknown_column"; the
+        scope plays no part. An unqualified one is "ok" when exactly one
+        table owns the column among `scope` (FROM table names: unknown
+        names are skipped, a repeated name counts twice), or among the
+        whole catalog when `scope` is None, and "ambiguous" when several
+        do. When no scope table owns it, it is "out_of_scope" if the
+        catalog has exactly one owner, else "unknown_column".
         """
         if table is not None:
             tab = self.table(table)
             if tab is None:
-                return None
+                return Resolution("unknown_table")
             col = tab.column(column)
-            return (tab, col) if col is not None else None
-        owners = self.tables_with_column(column)
+            return Resolution("ok", tab, col) if col is not None else Resolution("unknown_column")
+        tables = self.tables if scope is None else [
+            t for t in map(self.table, scope) if t is not None]
+        owners = [t for t in tables if t.has_column(column)]
+        if len(owners) > 1:
+            return Resolution("ambiguous")
+        status = "ok"
+        if not owners and scope is not None:
+            owners, status = [t for t in self.tables if t.has_column(column)], "out_of_scope"
         if len(owners) != 1:
-            return None
-        col = owners[0].column(column)
-        assert col is not None
-        return owners[0], col
+            return Resolution("unknown_column")
+        return Resolution(status, owners[0], owners[0].column(column))
 
     def is_foreign_key_pair(self, left_table: str, left_column: str,
                             right_table: str, right_column: str) -> bool:
