@@ -46,7 +46,7 @@ class AssemblyError(Exception):
 
 class UnresolvedSubQuestion(AssemblyError):
     """A qa() action has no resolved child sequence, or a value references
-    a sequence that does not exist."""
+    a sequence that does not exist or that encloses the reference."""
 
 
 class PlanMismatch(AssemblyError):
@@ -102,6 +102,9 @@ class _Assembler:
     def __init__(self, root: ActionSequence, plan: ConnectivePlan):
         self.plan = plan
         self.sequences = {level.id: level for _prefix, level in walk_levels(root)}
+        # the levels being rendered, by identity: one referenced again from
+        # inside itself would render without end
+        self.rendering: set[int] = set()
 
     def value_sql(self, action, value) -> str:
         if isinstance(value, SubqueryRef):
@@ -109,6 +112,9 @@ class _Assembler:
             if child is None:
                 raise UnresolvedSubQuestion(
                     f"no resolved sequence with id {value.sequence_id!r}")
+            if id(child) in self.rendering:
+                raise UnresolvedSubQuestion(
+                    f"sequence {value.sequence_id!r} is referenced from inside itself")
             return "(" + self.level_sql(child, ConnectivePlan()) + ")"
         if isinstance(value, LiteralList):
             if action.op == "BETWEEN":
@@ -167,6 +173,7 @@ class _Assembler:
         return sql if plain else f"SELECT * FROM ({sql})"
 
     def level_sql(self, level: ActionSequence, plan: ConnectivePlan) -> str:
+        self.rendering.add(id(level))
         for action in level.actions:
             if isinstance(action, QA) and action.resolved is None:
                 raise UnresolvedSubQuestion(
@@ -205,6 +212,7 @@ class _Assembler:
         limit = level.first(AddLimit)
         if limit is not None:
             parts.append(f"LIMIT {limit.count}")
+        self.rendering.discard(id(level))
         return " ".join(parts)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sqlite3
 import sys
 from pathlib import Path
 
@@ -184,6 +185,7 @@ def _cmd_eval(args) -> int:
         if not args.agent:
             raise DatasetFormatError("--pred pipeline needs --agent")
         config = _refinement_config(args, config_file)
+        _make_agent(args.agent)  # an unusable agent fails the run, not each example
 
         def agent_factory():
             return _make_agent(args.agent)
@@ -315,6 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 _OPERATIONAL_ERRORS = (
     FileNotFoundError, CorruptDatabase, InvalidRuleConfig, AssemblyError,
     AgentFailure, DatasetFormatError, AnnotationError, ValueError, OSError,
+    sqlite3.Error,
 )
 
 

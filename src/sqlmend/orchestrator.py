@@ -232,6 +232,14 @@ class ScriptedAgent(AgentInterface):
     """
 
     def __init__(self, script: dict):
+        if not isinstance(script, dict):
+            raise ValueError("a replay script maps each question to its outputs")
+        for question, outputs in script.items():
+            if not isinstance(outputs, str) and not (
+                    isinstance(outputs, (list, tuple)) and outputs
+                    and all(isinstance(text, str) for text in outputs)):
+                raise ValueError(f"replay script entry {question!r} must be a string "
+                                 "or a non-empty list of strings")
         self.script = dict(script)
         self._calls: dict[str, int] = {}
 
@@ -387,8 +395,10 @@ class RefinementConfig:
     instruction: str = DEFAULT_INSTRUCTION
 
     def __post_init__(self):
-        if not 0 <= self.max_iterations <= 10:
-            raise ValueError("max_iterations must be between 0 and 10")
+        if not isinstance(self.max_iterations, int) or not 0 <= self.max_iterations <= 10:
+            raise ValueError("max_iterations must be an integer between 0 and 10")
+        if not isinstance(self.candidate_k, int) or self.candidate_k < 0:
+            raise ValueError("candidate_k must be a non-negative integer")
 
 
 def _mismatch_columns(feedback: Feedback) -> set[tuple[str, str]]:

@@ -99,6 +99,13 @@ def example_from_json(record: dict) -> AnnotatedExample:
 def _validate(example: AnnotatedExample) -> None:
     spans = [v.span for v in example.value_spans] + \
             [c.span for c in example.column_mention_spans]
+    texts = [example.question, example.gold_sql, example.db_id,
+             *(c.column for c in example.column_mention_spans),
+             *(text for v in example.value_spans for text in (v.column, v.literal))]
+    if not all(isinstance(text, str) for text in texts) or not all(
+            isinstance(bound, int) for span in spans for bound in (span.start, span.end)):
+        raise AnnotationError("bad annotated example: texts must be strings "
+                              "and span bounds integers")
     n = len(example.question)
     for span in spans:
         if not (0 <= span.start < span.end <= n):

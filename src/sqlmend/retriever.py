@@ -193,6 +193,8 @@ def check_condition(action: Action, catalog: SchemaCatalog, index: CellIndex, *,
     column. Numeric comparisons, wildcard LIKE patterns, non-text values
     and non-TEXT columns are NotApplicable.
     """
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
     column = _extract_condition_column(action)
     if column is None:
         return NotApplicable(reason="aggregate expression")

@@ -160,6 +160,38 @@ def test_assemble_dangling_reference_is_an_error():
         assemble(seq)
 
 
+SELF_REFERENCE = """add_select(title)
+add_from(episode)
+add_where(id, IN, @s.3.qa)
+qa("which episodes"):
+    add_select(id)
+    add_from(episode)
+    add_where(id, IN, @s.3.qa)
+"""
+
+
+@pytest.mark.parametrize("text", [
+    SELF_REFERENCE,
+    # a child naming the root that encloses it
+    'add_select(title)\nadd_from(episode)\nadd_where(id, IN, @s.3.qa)\nqa("q"):\n'
+    '    add_select(id)\n    add_from(episode)\n    add_where(id, IN, @s)',
+    # a merge child naming the merge level
+    "add_merge(UNION):\n    left:\n        add_select(id)\n        add_from(episode)\n"
+    "        add_where(id, IN, @s)\n    right:\n        add_select(id)\n"
+    "        add_from(pairing)",
+])
+def test_assemble_self_reference_is_an_error(text):
+    with pytest.raises(UnresolvedSubQuestion, match="referenced from inside itself"):
+        assemble(seq_of(text))
+
+
+def test_assemble_same_reference_twice_renders_twice():
+    text = SELF_REFERENCE.replace("    add_where(id, IN, @s.3.qa)\n", "") + \
+        "add_where(id, NOT IN, @s.3.qa)\n"
+    sql = assemble(seq_of(text))
+    assert sql.count("(SELECT id FROM episode)") == 2
+
+
 def test_assemble_deterministic():
     seq = seq_of('add_select(title)\nadd_from(episode)\nadd_where(title, =, "x")')
     assert assemble(seq) == assemble(seq)

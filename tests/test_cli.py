@@ -8,6 +8,9 @@ from sqlmend.cli import main
 
 CLEAN_ACTIONS = "add_select(title)\nadd_from(episode)\n"
 BAD_ACTIONS = 'add_select(flavor)\nadd_from(episode)\nadd_where(id, =, "abc")\n'
+# the qa() child names itself, so rendering it would never end
+SELF_REFERENCE_TEXT = ('add_select(title)\nadd_from(episode)\nadd_where(id, IN, @s.3.qa)\n'
+                       'qa("q"):\n    add_select(id)\n    add_where(id, IN, @s.3.qa)\n')
 
 
 def run_cli(capsys, *argv):
@@ -124,6 +127,23 @@ def test_refine_ablation_flags(capsys, episode_db, tmp_path):
     payload = json.loads(out)
     assert len(payload["trace"]["iterations"]) == 1
     assert payload["trace"]["iterations"][0]["feedback"]["approved"] is True
+
+
+@pytest.mark.parametrize("flags", [[], ["--dbms-feedback"]])
+def test_refine_reports_a_self_reference_as_an_assembly_error(capsys, episode_db,
+                                                              tmp_path, flags):
+    script = tmp_path / "replay.json"
+    script.write_text(json.dumps({"q": [SELF_REFERENCE_TEXT]}))
+    code, out, _err = run_cli(capsys, "refine", str(episode_db), "--question", "q",
+                              "--agent", f"replay:{script}", "--max-iter", "0", *flags)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["final_sql"] is None
+    assert "referenced from inside itself" in payload["assembly_error"]
+    if flags:
+        [finding] = payload["trace"]["iterations"][0]["feedback"]["findings"]
+        assert finding["kind"] == "ExecutionError"
+        assert "referenced from inside itself" in finding["detail"]
 
 
 def test_postprocess_filter_mode(capsys, episode_db, tmp_path):
@@ -243,3 +263,94 @@ def test_operational_error_exits_one_with_json(capsys, tmp_path):
     code, _out, err = run_cli(capsys, "schema", str(tmp_path / "missing.sqlite"))
     assert code == 1
     assert json.loads(err)["error"] == "FileNotFoundError"
+
+
+def _file(path, content) -> str:
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    return str(path)
+
+
+def _replay(tmp, script) -> str:
+    return "replay:" + _file(tmp / "replay.json", script)
+
+
+def _dataset(tmp, db, record) -> str:
+    (tmp / "database" / "d").mkdir(parents=True)
+    (tmp / "database" / "d" / "d.sqlite").write_bytes(db.read_bytes())
+    return _file(tmp / "examples.json", [record])
+
+
+_ONE_SPAN = {"question": "Fox?", "gold_sql": "SELECT 1 WHERE name = 'Fox'", "db_id": "d",
+             "value_spans": [{"start": 0, "end": 3, "column": "name", "literal": "Fox"}]}
+
+# subcommand input that cannot be used -> (argv, the error the CLI reports);
+# argparse usage errors exit 2 with their usage text instead of JSON
+UNUSABLE_INPUT = {
+    "schema-directory": (lambda t, db: ["schema", str(t)], "OperationalError"),
+    "retrieve-usage": (lambda t, db: ["retrieve", str(db)], 2),
+    "retrieve-negative-k": (lambda t, db: ["retrieve", str(db), "--column", "title",
+                                           "--value", "x", "-k", "-1"], "ValueError"),
+    "detect-rule-column-not-a-string": (lambda t, db: [
+        "detect", str(db), "--actions", _file(t / "a.actions", CLEAN_ACTIONS), "--rules",
+        _file(t / "r.json", [{"rule_id": "r", "kind": "require_null_filter",
+                              "params": {"column": 5}}])], "InvalidRuleConfig"),
+    "assemble-self-reference": (lambda t, db: [
+        "assemble", "--actions", _file(t / "a.actions", SELF_REFERENCE_TEXT)],
+        "UnresolvedSubQuestion"),
+    "assemble-bad-connective": (lambda t, db: [
+        "assemble", "--actions", _file(t / "a.actions", CLEAN_ACTIONS),
+        "--connectives", "XOR"], "AssemblyError"),
+    "refine-replay-empty-list": (lambda t, db: [
+        "refine", str(db), "--question", "q", "--agent", _replay(t, {"q": []})], "ValueError"),
+    "refine-replay-object": (lambda t, db: [
+        "refine", str(db), "--question", "q", "--agent", _replay(t, {"q": {}})], "ValueError"),
+    "refine-replay-array": (lambda t, db: [
+        "refine", str(db), "--question", "q", "--agent", _replay(t, ["q"])], "ValueError"),
+    "refine-replay-not-text": (lambda t, db: [
+        "refine", str(db), "--question", "q", "--agent", _replay(t, {"q": [5]})], "ValueError"),
+    "refine-negative-candidate-k": (lambda t, db: [
+        "refine", str(db), "--question", "q", "--agent", _replay(t, {"q": CLEAN_ACTIONS}),
+        "--config", _file(t / "c.json", {"candidate_k": -1})], "ValueError"),
+    "refine-max-iterations-not-a-number": (lambda t, db: [
+        "refine", str(db), "--question", "q", "--agent", _replay(t, {"q": CLEAN_ACTIONS}),
+        "--config", _file(t / "c.json", {"max_iterations": "3"})], "ValueError"),
+    "refine-http-without-endpoint": (lambda t, db: [
+        "refine", str(db), "--question", "q", "--agent", "http"], "AgentFailure"),
+    "postprocess-missing-sql-file": (lambda t, db: [
+        "postprocess", str(db), "--sql-file", str(t / "missing.sql")], "FileNotFoundError"),
+    "eval-db-id-not-a-string": (lambda t, db: [
+        "eval", _file(t / "examples.json", [{"question": "q", "gold_sql": "SELECT 1",
+                                             "db_id": 5}]),
+        "--pred", "file:" + _file(t / "p.sql", "SELECT 1\n")], "DatasetFormatError"),
+    "eval-pipeline-unusable-replay": (lambda t, db: [
+        "eval", _dataset(t, db, {"question": "q", "gold_sql": "SELECT 1", "db_id": "d"}),
+        "--pred", "pipeline", "--agent", _replay(t, {"q": []})], "ValueError"),
+    "perturb-unknown-kind": (lambda t, db: [
+        "perturb", _file(t / "a.jsonl", ""), "--kinds", "bogus"], "AnnotationError"),
+    "perturb-column-not-a-string": (lambda t, db: [
+        "perturb", _file(t / "a.jsonl", json.dumps(
+            {**_ONE_SPAN, "value_spans": [{**_ONE_SPAN["value_spans"][0], "column": 5}]})),
+        "--db-root", str(t)], "AnnotationError"),
+    "perturb-span-bound-not-a-number": (lambda t, db: [
+        "perturb", _file(t / "a.jsonl", json.dumps(
+            {**_ONE_SPAN, "value_spans": [{**_ONE_SPAN["value_spans"][0], "start": "0"}]}))],
+        "AnnotationError"),
+}
+
+@pytest.mark.parametrize("case", sorted(UNUSABLE_INPUT))
+def test_unusable_input_exits_with_an_error_not_a_traceback(capsys, monkeypatch, tmp_path,
+                                                            episode_db, case):
+    monkeypatch.delenv("SQLMEND_LLM_ENDPOINT", raising=False)
+    build, expected = UNUSABLE_INPUT[case]
+    try:
+        code = main(build(tmp_path, episode_db))
+    except SystemExit as exc:  # argparse
+        code = exc.code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if expected == 2:
+        assert code == 2 and "usage:" in captured.err
+    else:
+        assert code == 1
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == expected
