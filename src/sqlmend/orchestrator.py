@@ -10,11 +10,13 @@ to the first iteration's conditional actions.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field, replace
+from time import sleep
 
 from .actions import (
     ActionSequence,
@@ -269,13 +271,17 @@ ENDPOINT_ENV = "SQLMEND_LLM_ENDPOINT"
 API_KEY_ENV = "SQLMEND_LLM_API_KEY"
 MODEL_ENV = "SQLMEND_LLM_MODEL"
 
+# a retried request waits RETRY_BACKOFF_S, then twice that, and so on
+RETRY_BACKOFF_S = 0.5
+
 
 class HttpAgent(AgentInterface):
     """Chat-completion-style HTTP backend.
 
     Requests are pinned to temperature 0 and a 300-token cap for stable,
-    bounded replies. Transport failures are retried; persistent failure
-    raises AgentFailure.
+    bounded replies. Transport failures, 5xx and 429 responses are retried
+    with exponential backoff; any other 4xx, a malformed reply or
+    persistent failure raises AgentFailure.
     """
 
     def __init__(self, endpoint: str, api_key: str | None = None,
@@ -305,15 +311,28 @@ class HttpAgent(AgentInterface):
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error: Exception | None = None
-        for _attempt in range(self.retries + 1):
+        for attempt in range(self.retries + 1):
+            if attempt:
+                sleep(RETRY_BACKOFF_S * 2 ** (attempt - 1))
             request = urllib.request.Request(self.endpoint, data=payload, headers=headers)
             try:
                 with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    body = json.loads(response.read().decode("utf-8"))
-                return body["choices"][0]["message"]["content"]
-            except (urllib.error.URLError, OSError, KeyError, IndexError,
-                    json.JSONDecodeError) as exc:
+                    raw = response.read()
+            except urllib.error.HTTPError as exc:
+                if exc.code < 500 and exc.code != 429:
+                    raise AgentFailure(f"agent endpoint rejected the request: {exc}") from exc
                 last_error = exc
+                continue
+            except (OSError, http.client.HTTPException) as exc:  # transport failures
+                last_error = exc
+                continue
+            try:
+                content = json.loads(raw)["choices"][0]["message"]["content"]
+            except (ValueError, LookupError, TypeError) as exc:
+                raise AgentFailure(f"malformed agent reply: {exc!r}") from exc
+            if not isinstance(content, str):
+                raise AgentFailure("malformed agent reply: content is not text")
+            return content
         raise AgentFailure(f"agent endpoint failed after retries: {last_error}")
 
     def _context_message(self, ctx: AgentContext) -> str:

@@ -6,11 +6,13 @@ loopback server: the embedding service ({"texts": [...]} in,
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from sqlmend import orchestrator
 from sqlmend.orchestrator import AgentFailure, HttpAgent, build_context
 from sqlmend.retriever import HttpEmbeddingBackend
 
@@ -18,6 +20,8 @@ from sqlmend.retriever import HttpEmbeddingBackend
 class _Handler(BaseHTTPRequestHandler):
     requests: list[dict] = []
     fail_times = 0
+    fail_status = 500
+    chat_reply: bytes | None = None  # replaces the chat payload when set
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
@@ -25,7 +29,7 @@ class _Handler(BaseHTTPRequestHandler):
                                     "auth": self.headers.get("Authorization")})
         if type(self).fail_times > 0:
             type(self).fail_times -= 1
-            self.send_response(500)
+            self.send_response(type(self).fail_status)
             self.end_headers()
             return
         if self.path == "/embed":
@@ -37,6 +41,8 @@ class _Handler(BaseHTTPRequestHandler):
             payload = {"choices": [{"message": {
                 "content": "add_select(title)\nadd_from(episode)"}}]}
         data = json.dumps(payload).encode("utf-8")
+        if self.path != "/embed" and type(self).chat_reply is not None:
+            data = type(self).chat_reply
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -48,11 +54,21 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 @pytest.fixture()
-def http_server():
+def sleeps(monkeypatch):
+    waited: list[float] = []
+    monkeypatch.setattr(orchestrator, "sleep", waited.append)
+    return waited
+
+
+@pytest.fixture()
+def http_server(sleeps):
     _Handler.requests = []
     _Handler.fail_times = 0
+    _Handler.fail_status = 500
+    _Handler.chat_reply = None
     server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_port}"
@@ -124,3 +140,43 @@ def test_http_agent_refine_carries_feedback(http_server, episode_catalog, episod
     assert messages[2]["role"] == "assistant"
     assert "add_where(written_by" in messages[2]["content"]
     assert "Todd Casey" in messages[3]["content"]  # candidate surfaced to the agent
+
+
+@pytest.mark.parametrize("status", [503, 429])
+def test_http_agent_retries_server_errors_with_backoff(http_server, sleeps, episode_catalog,
+                                                       status):
+    _Handler.fail_times, _Handler.fail_status = 2, status
+    agent = HttpAgent(endpoint=f"{http_server}/chat", retries=2)
+    assert agent.generate(build_context(episode_catalog, "q"))
+    assert len(_Handler.requests) == 3
+    assert sleeps == [orchestrator.RETRY_BACKOFF_S, 2 * orchestrator.RETRY_BACKOFF_S]
+
+
+def test_http_agent_retries_an_unreachable_endpoint(sleeps, episode_catalog):
+    with socket.socket() as probe:  # a loopback port with nothing listening
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    agent = HttpAgent(endpoint=f"http://127.0.0.1:{port}/chat", retries=1)
+    with pytest.raises(AgentFailure, match="after retries"):
+        agent.generate(build_context(episode_catalog, "q"))
+    assert sleeps == [orchestrator.RETRY_BACKOFF_S]
+
+
+def test_http_agent_client_error_fails_at_once(http_server, sleeps, episode_catalog):
+    _Handler.fail_times, _Handler.fail_status = 1, 400
+    agent = HttpAgent(endpoint=f"{http_server}/chat", retries=2)
+    with pytest.raises(AgentFailure, match="rejected"):
+        agent.generate(build_context(episode_catalog, "q"))
+    assert len(_Handler.requests) == 1
+    assert sleeps == []
+
+
+@pytest.mark.parametrize("reply", [b"not json", b'{"choices": []}',
+                                   b'{"choices": [{"message": {"content": null}}]}'])
+def test_http_agent_malformed_reply_fails_at_once(http_server, sleeps, episode_catalog, reply):
+    _Handler.chat_reply = reply
+    agent = HttpAgent(endpoint=f"{http_server}/chat", retries=2)
+    with pytest.raises(AgentFailure, match="malformed"):
+        agent.generate(build_context(episode_catalog, "q"))
+    assert len(_Handler.requests) == 1
+    assert sleeps == []
