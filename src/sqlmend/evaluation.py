@@ -451,7 +451,7 @@ def load_dataset(dataset_path: str | Path, db_root: str | Path | None = None
         question = record.get("question")
         gold = record.get("gold_sql", record.get("query"))
         db_id = record.get("db_id")
-        if not all(isinstance(field, str) and field for field in (question, gold, db_id)):
+        if not all(isinstance(value, str) and value for value in (question, gold, db_id)):
             raise DatasetFormatError(
                 f"record {example_id}: needs string question, gold_sql (or query), db_id")
         db_file = root / db_id / f"{db_id}.sqlite"

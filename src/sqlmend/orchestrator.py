@@ -318,12 +318,10 @@ class HttpAgent(AgentInterface):
             try:
                 with urllib.request.urlopen(request, timeout=self.timeout) as response:
                     raw = response.read()
-            except urllib.error.HTTPError as exc:
-                if exc.code < 500 and exc.code != 429:
+            except (OSError, http.client.HTTPException) as exc:  # HTTPError is an OSError
+                if isinstance(exc, urllib.error.HTTPError) and exc.code < 500 \
+                        and exc.code != 429:
                     raise AgentFailure(f"agent endpoint rejected the request: {exc}") from exc
-                last_error = exc
-                continue
-            except (OSError, http.client.HTTPException) as exc:  # transport failures
                 last_error = exc
                 continue
             try:

@@ -7,6 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqlmend.actions import parse_actions
+from sqlmend.detector import detect
+from sqlmend.orchestrator import verdict_to_json
+from sqlmend.perturb import (
+    AnnotatedExample,
+    NoApplicableSpan,
+    Span,
+    ValueSpan,
+    replace_common_value,
+)
+from sqlmend.postprocess import rewrite
+from sqlmend.retriever import inspect_sequence
 from sqlmend.schema_catalog import (
     CorruptDatabase,
     affinity_of,
@@ -210,6 +222,33 @@ def test_catalog_json_export_is_stable(episode_catalog):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("table, column, scope, status, owner", [
+    ("pairing", "guest", None, "ok", "pairing"),
+    ("PAIRING", "GUEST", ["network"], "ok", "pairing"),  # qualified: scope unused
+    ("nosuch", "guest", None, "unknown_table", None),
+    ("pairing", "nope", None, "unknown_column", None),
+    (None, "guest", None, "ok", "pairing"),
+    (None, "id", None, "ambiguous", None),
+    (None, "nope", None, "unknown_column", None),
+    (None, "id", ["network"], "ok", "network"),
+    (None, "id", ["network", "nosuch", "pairing"], "ambiguous", None),
+    (None, "title", ["episode", "Episode"], "ambiguous", None),
+    (None, "guest", ["network"], "out_of_scope", "pairing"),
+    (None, "guest", [], "out_of_scope", "pairing"),
+    (None, "guest", ["nosuch"], "out_of_scope", "pairing"),
+    (None, "id", ["nosuch"], "unknown_column", None),
+    (None, "nope", ["network"], "unknown_column", None),
+])
+def test_resolve_statuses(episode_catalog, table, column, scope, status, owner):
+    found = episode_catalog.resolve(table, column, scope)
+    assert found.status == status
+    assert (found.table.name if found.table else None) == owner
+    if owner is not None:
+        assert found.column.name.lower() == column.lower()
+    else:
+        assert found.column is None
+
+
 @pytest.mark.parametrize("from_line, column, value, verdict, finding_kinds", [
     # a column from a table missing from add_from: the retriever skips it,
     # the detector still finds its owner and reports the missing join
@@ -226,11 +265,6 @@ def test_catalog_json_export_is_stable(episode_catalog):
 ])
 def test_condition_column_scope_policy(episode_catalog, episode_index, from_line,
                                        column, value, verdict, finding_kinds):
-    from sqlmend.actions import parse_actions
-    from sqlmend.detector import detect
-    from sqlmend.orchestrator import verdict_to_json
-    from sqlmend.retriever import inspect_sequence
-
     seq = parse_actions(f"add_select({column})\n{from_line}\n"
                         f'add_where({column}, =, "{value}")').sequence
     [(_path, got)] = inspect_sequence(seq, episode_catalog, episode_index)
@@ -249,9 +283,6 @@ def test_condition_column_scope_policy(episode_catalog, episode_index, from_line
     ("add_select(pairing.nope)\nadd_from(pairing)", ["UnknownColumn"]),
 ])
 def test_detector_column_resolution_policy(episode_catalog, actions, finding_kinds):
-    from sqlmend.actions import parse_actions
-    from sqlmend.detector import detect
-
     seq = parse_actions(actions).sequence
     assert [f.kind for f in detect(seq, episode_catalog)] == finding_kinds
 
@@ -269,8 +300,6 @@ def test_detector_column_resolution_policy(episode_catalog, actions, finding_kin
     ("SELECT 1 FROM pairing WHERE nosuch.guest = 'Moon Bloodgod'", False),
 ])
 def test_rewrite_column_scope_policy(episode_catalog, episode_index, sql, rewritten):
-    from sqlmend.postprocess import rewrite
-
     fixed = rewrite(sql, episode_catalog, episode_index)
     assert fixed == (sql.replace("Bloodgod", "Bloodgood").replace("double down", "Double Down")
                      if rewritten else sql)
@@ -284,9 +313,6 @@ def test_rewrite_column_scope_policy(episode_catalog, episode_index, sql, rewrit
     ("id", False),             # several owners
 ])
 def test_replace_common_value_column_policy(episode_catalog, episode_index, column, swapped):
-    from sqlmend.perturb import AnnotatedExample, NoApplicableSpan, Span, ValueSpan
-    from sqlmend.perturb import replace_common_value
-
     example = AnnotatedExample(
         question="Moon Bloodgood?", db_id="episodes",
         gold_sql="SELECT * FROM network WHERE guest = 'Moon Bloodgood'",
