@@ -18,6 +18,7 @@ from .assembler import AssemblyError, ConnectivePlan, assemble, predict_connecti
 from .detector import InvalidRuleConfig, detect, load_rules
 from .evaluation import (
     DatasetFormatError,
+    db_file_for,
     file_predictor,
     load_dataset,
     pipeline_predictor,
@@ -39,7 +40,7 @@ from .perturb import (
 )
 from .postprocess import rewrite
 from .retriever import check_condition
-from .schema_catalog import CorruptDatabase, build_cell_index, load_catalog
+from .schema_catalog import CorruptDatabase, Database
 from .actions import AddWhere, ColumnRef, text_literal
 from .orchestrator import verdict_to_json
 
@@ -64,11 +65,15 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _make_agent(spec: str, retries: int = 2):
+def _agent_factory(spec: str):
+    """Read and check an agent spec once; each call of the result builds a
+    fresh agent, so replay counters cannot leak across questions."""
     if spec == "http":
-        return HttpAgent.from_env(retries=retries)
+        HttpAgent.from_env()  # an unset endpoint fails here, not per question
+        return HttpAgent.from_env
     if spec.startswith("replay:"):
-        return ScriptedAgent.from_file(spec[len("replay:"):])
+        script = ScriptedAgent.from_file(spec[len("replay:"):]).script
+        return lambda: ScriptedAgent(script)
     raise ValueError(f"unknown agent spec {spec!r}; use 'http' or 'replay:<file>'")
 
 
@@ -93,23 +98,21 @@ def _refinement_config(args, config_file: dict) -> RefinementConfig:
 
 
 def _cmd_schema(args) -> int:
-    catalog = load_catalog(args.db)
-    _emit(catalog.to_json_dict())
+    _emit(Database(args.db).catalog.to_json_dict())
     return 0
 
 
 def _cmd_retrieve(args) -> int:
-    catalog = load_catalog(args.db)
-    index = build_cell_index(catalog, args.db)
+    db = Database(args.db)
     action = AddWhere(column=ColumnRef.parse(args.column), op=args.op,
                       value=text_literal(args.value))
-    verdict = check_condition(action, catalog, index, k=args.k)
+    verdict = check_condition(action, db.catalog, db.index, k=args.k)
     _emit(verdict_to_json(verdict))
     return 0
 
 
 def _cmd_detect(args) -> int:
-    catalog = load_catalog(args.db)
+    catalog = Database(args.db).catalog
     rules = load_rules(args.rules) if args.rules else []
     with open(args.actions, "r", encoding="utf-8") as handle:
         result = parse_actions(handle.read())
@@ -142,12 +145,11 @@ def _cmd_assemble(args) -> int:
 
 def _cmd_refine(args) -> int:
     config_file = _load_config_file(args.config)
-    catalog = load_catalog(args.db)
-    index = build_cell_index(catalog, args.db)
+    db = Database(args.db)
     rules = load_rules(args.rules) if args.rules else []
-    agent = _make_agent(args.agent)
+    agent = _agent_factory(args.agent)()
     config = _refinement_config(args, config_file)
-    trace = run(args.question, catalog, index, rules, agent, config)
+    trace = run(args.question, db.catalog, db.index, rules, agent, config)
     plan = predict_connectives(trace.final, args.question, agent)
     try:
         sql = assemble(trace.final, plan)
@@ -167,12 +169,11 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_postprocess(args) -> int:
-    catalog = load_catalog(args.db)
-    index = build_cell_index(catalog, args.db)
+    db = Database(args.db)
     with open(args.sql_file, "r", encoding="utf-8") as handle:
         lines = [line.rstrip("\n") for line in handle if line.strip()]
     for line in lines:
-        print(rewrite(line, catalog, index, min_score=args.min_score))
+        print(rewrite(line, db.catalog, db.index, min_score=args.min_score))
     return 0
 
 
@@ -185,12 +186,7 @@ def _cmd_eval(args) -> int:
         if not args.agent:
             raise DatasetFormatError("--pred pipeline needs --agent")
         config = _refinement_config(args, config_file)
-        _make_agent(args.agent)  # an unusable agent fails the run, not each example
-
-        def agent_factory():
-            return _make_agent(args.agent)
-
-        predictor = pipeline_predictor(agent_factory, db_root, config=config)
+        predictor = pipeline_predictor(_agent_factory(args.agent), db_root, config=config)
     else:
         raise DatasetFormatError(f"unknown predictor {args.pred!r}; "
                                  "use 'pipeline' or 'file:<path>'")
@@ -209,24 +205,15 @@ def _cmd_perturb(args) -> int:
         raise AnnotationError(f"unknown disturbance kinds {unknown}; "
                               f"choose from {list(DISTURBANCE_KINDS)}")
     examples = read_examples(args.dataset)
-    catalogs: dict[str, tuple] = {}
-
-    def catalog_for(db_id: str):
-        if args.db_root is None:
-            return None, None
-        if db_id not in catalogs:
-            db_file = Path(args.db_root) / db_id / f"{db_id}.sqlite"
-            if not db_file.exists():
-                return None, None
-            catalog = load_catalog(db_file)
-            catalogs[db_id] = (catalog, build_cell_index(catalog, db_file))
-        return catalogs[db_id]
-
+    dbs: dict[str, Database | None] = {}  # None: no catalog without the file
     records = []
     for i, example in enumerate(examples):
-        catalog, index = catalog_for(example.db_id)
+        if args.db_root is not None and example.db_id not in dbs:
+            db_file = db_file_for(args.db_root, example.db_id)
+            dbs[example.db_id] = Database(db_file) if db_file.exists() else None
+        db = dbs.get(example.db_id)
         perturbed, applied = perturb_example(example, kinds, args.seed + i,
-                                             catalog=catalog, index=index)
+                                             catalog=db and db.catalog, index=db and db.index)
         record = perturbed.to_json_dict()
         record["perturbations"] = applied
         record["provenance"] = "machine-perturbed"

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .schema_catalog import connect_readonly
+from .schema_catalog import Database, connect_readonly
 
 DEFAULT_TIMEOUT_S = 30.0
 FLOAT_REL_TOL = 1e-6
@@ -44,6 +44,7 @@ class EvalExample:
     question: str
     gold_sql: str
     db_id: str
+    db: Database
     predicted_sql: str | None = None
 
 
@@ -427,12 +428,17 @@ def exact_match(pred: str, gold: str) -> bool | None:
 # ---------------------------------------------------------------------------
 
 
+def db_file_for(db_root: str | Path, db_id: str) -> Path:
+    """The database file of `db_id`, in Spider's layout under `db_root`."""
+    return Path(db_root) / db_id / f"{db_id}.sqlite"
+
+
 def load_dataset(dataset_path: str | Path, db_root: str | Path | None = None
                  ) -> tuple[list[EvalExample], Path]:
     """Read a JSON array of examples and locate the database directory.
 
-    Databases follow the <root>/database/<db_id>/<db_id>.sqlite layout;
-    `db_root` overrides the directory next to the dataset file.
+    `db_root` defaults to the `database` directory next to the dataset
+    file. Examples with the same db_id share one Database handle.
     """
     dataset_path = Path(dataset_path)
     try:
@@ -444,6 +450,7 @@ def load_dataset(dataset_path: str | Path, db_root: str | Path | None = None
         raise DatasetFormatError(f"{dataset_path}: expected a JSON array")
     root = Path(db_root) if db_root is not None else dataset_path.parent / "database"
     examples = []
+    dbs: dict[str, Database] = {}
     for i, record in enumerate(data):
         if not isinstance(record, dict):
             raise DatasetFormatError(f"record {i}: not an object")
@@ -454,16 +461,14 @@ def load_dataset(dataset_path: str | Path, db_root: str | Path | None = None
         if not all(isinstance(value, str) and value for value in (question, gold, db_id)):
             raise DatasetFormatError(
                 f"record {example_id}: needs string question, gold_sql (or query), db_id")
-        db_file = root / db_id / f"{db_id}.sqlite"
-        if not db_file.exists():
-            raise DatasetFormatError(f"record {example_id}: missing database {db_file}")
+        if db_id not in dbs:
+            db_file = db_file_for(root, db_id)
+            if not db_file.is_file():
+                raise DatasetFormatError(f"record {example_id}: missing database {db_file}")
+            dbs[db_id] = Database(db_file)
         examples.append(EvalExample(id=example_id, question=question, gold_sql=gold,
-                                    db_id=db_id))
+                                    db_id=db_id, db=dbs[db_id]))
     return examples, root
-
-
-def db_file_for(db_root: str | Path, db_id: str) -> Path:
-    return Path(db_root) / db_id / f"{db_id}.sqlite"
 
 
 def file_predictor(path: str | Path, examples: list[EvalExample]) -> Callable[[EvalExample], str]:
@@ -488,29 +493,22 @@ def file_predictor(path: str | Path, examples: list[EvalExample]) -> Callable[[E
 
 def pipeline_predictor(agent_factory, db_root: str | Path, *, config=None,
                        rules=()) -> Callable[[EvalExample], str]:
-    """Predict by running the full inspect-and-refine pipeline per example.
+    """Predict by running the full inspect-and-refine pipeline per example
+    against the example's own database.
 
     `agent_factory` builds a fresh agent per example so scripted replay
-    counters cannot leak across questions.
+    counters cannot leak across questions. `db_root` is unused; the
+    benchmark harness still passes it positionally.
     """
     from .assembler import assemble, predict_connectives
     from .orchestrator import RefinementConfig, run
-    from .schema_catalog import build_cell_index, load_catalog
 
     config = config or RefinementConfig()
-    cache: dict[str, tuple] = {}
-
-    def catalog_for(db_id: str):
-        if db_id not in cache:
-            db_file = db_file_for(db_root, db_id)
-            catalog = load_catalog(db_file)
-            cache[db_id] = (catalog, build_cell_index(catalog, db_file))
-        return cache[db_id]
 
     def predict(example: EvalExample) -> str:
-        catalog, index = catalog_for(example.db_id)
         agent = agent_factory()
-        trace = run(example.question, catalog, index, rules, agent, config)
+        trace = run(example.question, example.db.catalog, example.db.index, rules, agent,
+                    config)
         plan = predict_connectives(trace.final, example.question, agent)
         return assemble(trace.final, plan)
 
@@ -522,26 +520,15 @@ def run_benchmark(dataset_path: str | Path, predictor: Callable[[EvalExample], s
                   workers: int = 1, timeout_s: float = DEFAULT_TIMEOUT_S,
                   backend=None) -> EvalReport:
     """Score every example; optionally run condition post-processing over
-    the predictions first.
+    the predictions first. The predictor gets these examples, so each
+    database is built at most once per call.
     """
-    from .schema_catalog import build_cell_index, load_catalog
-
-    examples, root = load_dataset(dataset_path, db_root)
-    catalog_cache: dict[str, tuple] = {}
-
-    def catalog_for(db_id: str):
-        if db_id not in catalog_cache:
-            db_file = db_file_for(root, db_id)
-            catalog = load_catalog(db_file)
-            catalog_cache[db_id] = (catalog, build_cell_index(catalog, db_file))
-        return catalog_cache[db_id]
-
-    if post_process:
+    examples, _root = load_dataset(dataset_path, db_root)
+    if post_process:  # built before scoring, so worker threads only read them
         for example in examples:
-            catalog_for(example.db_id)
+            example.db.index
 
     def score(example: EvalExample) -> ExampleResult:
-        db_file = db_file_for(root, example.db_id)
         try:
             predicted = predictor(example)
         except Exception as exc:  # predictor failures score as wrong, not fatal
@@ -550,11 +537,11 @@ def run_benchmark(dataset_path: str | Path, predictor: Callable[[EvalExample], s
         if post_process:
             from .postprocess import rewrite
 
-            catalog, index = catalog_for(example.db_id)
-            predicted = rewrite(predicted, catalog, index, backend=backend)
+            predicted = rewrite(predicted, example.db.catalog, example.db.index,
+                                backend=backend)
         example.predicted_sql = predicted
         try:
-            ex_flag = execution_accuracy(predicted, example.gold_sql, db_file,
+            ex_flag = execution_accuracy(predicted, example.gold_sql, example.db.path,
                                          timeout_s=timeout_s)
             error = None
         except GoldExecutionError as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 import sqlite3
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -233,6 +234,8 @@ def _connect_existing(db_path: str | Path) -> sqlite3.Connection:
     path = Path(db_path)
     if not path.exists():
         raise FileNotFoundError(str(path))
+    if path.is_dir():
+        raise CorruptDatabase(f"{db_path}: is a directory, not a database file")
     return connect_readonly(path)
 
 
@@ -330,3 +333,22 @@ def build_cell_index(catalog: SchemaCatalog, db_path: str | Path,
         return CellIndex(columns)
     finally:
         conn.close()
+
+
+class Database:
+    """A database file, kept as the path given, whose catalog and cell
+    index are built on first use by this module's load_catalog and
+    build_cell_index. From Python 3.12 threads that first use it together
+    may each build it; the results are equal and one is kept.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = path
+
+    @cached_property
+    def catalog(self) -> SchemaCatalog:
+        return load_catalog(self.path)
+
+    @cached_property
+    def index(self) -> CellIndex:
+        return build_cell_index(self.catalog, self.path)

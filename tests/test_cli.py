@@ -171,6 +171,34 @@ def test_eval_gold_as_predictions(capsys, toy_dataset, tmp_path):
     assert "EX 3/3" in err
 
 
+def test_schema_prints_the_source_path_as_typed(capsys, monkeypatch, tmp_path, episode_db):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "x.sqlite").write_bytes(episode_db.read_bytes())
+    monkeypatch.chdir(tmp_path)
+    code, out, _err = run_cli(capsys, "schema", "./sub/x.sqlite")
+    assert code == 0
+    assert json.loads(out)["source"] == "./sub/x.sqlite"
+
+
+def test_eval_pipeline_reads_the_replay_script_once(capsys, monkeypatch, toy_dataset,
+                                                    tmp_path):
+    from sqlmend.orchestrator import ScriptedAgent
+
+    loads = []
+    from_file = ScriptedAgent.from_file.__func__
+    monkeypatch.setattr(ScriptedAgent, "from_file", classmethod(
+        lambda cls, path: loads.append(path) or from_file(cls, path)))
+    examples = json.loads(toy_dataset.read_text())
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(
+        {e["question"]: ["add_select(title)\nadd_from(show)"] for e in examples}))
+    code, out, _err = run_cli(capsys, "eval", str(toy_dataset),
+                              "--pred", "pipeline", "--agent", f"replay:{replay}")
+    assert code == 0
+    assert json.loads(out)["aggregates"]["n"] == len(examples) > 1
+    assert loads == [str(replay)]
+
+
 def test_eval_pipeline_predictor(capsys, toy_dataset, tmp_path):
     examples = json.loads(toy_dataset.read_text())
     script = {e["question"]: ["add_select(*)\nadd_from(show)"] for e in examples}
@@ -286,7 +314,7 @@ _ONE_SPAN = {"question": "Fox?", "gold_sql": "SELECT 1 WHERE name = 'Fox'", "db_
 # subcommand input that cannot be used -> (argv, the error the CLI reports);
 # argparse usage errors exit 2 with their usage text instead of JSON
 UNUSABLE_INPUT = {
-    "schema-directory": (lambda t, db: ["schema", str(t)], "OperationalError"),
+    "schema-directory": (lambda t, db: ["schema", str(t)], "CorruptDatabase"),
     "retrieve-usage": (lambda t, db: ["retrieve", str(db)], 2),
     "retrieve-negative-k": (lambda t, db: ["retrieve", str(db), "--column", "title",
                                            "--value", "x", "-k", "-1"], "ValueError"),

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
+from conftest import SHOWS_DDL, SHOWS_ROWS, write_dataset
 
 from sqlmend.evaluation import (
     DatasetFormatError,
@@ -173,6 +176,47 @@ def test_benchmark_missing_db_raises(tmp_path):
     with pytest.raises(DatasetFormatError) as exc:
         run_benchmark(dataset, lambda ex: ex.gold_sql)
     assert "x" in str(exc.value)
+
+
+def test_load_dataset_rejects_a_directory_as_database(tmp_path):
+    (tmp_path / "database" / "shows" / "shows.sqlite").mkdir(parents=True)
+    dataset = tmp_path / "examples.json"
+    dataset.write_text(json.dumps([{
+        "id": "x", "db_id": "shows", "question": "?", "gold_sql": "SELECT 1"}]))
+    with pytest.raises(DatasetFormatError, match="record x: missing database"):
+        load_dataset(dataset)
+
+
+def test_each_database_is_built_once_per_run(tmp_path, monkeypatch):
+    import sqlmend.schema_catalog
+    from sqlmend.evaluation import pipeline_predictor
+    from sqlmend.orchestrator import ScriptedAgent
+
+    examples = [{"id": f"{db_id}{i}", "db_id": db_id, "question": f"Titles {i} in {db_id}?",
+                 "gold_sql": "SELECT title FROM show WHERE title = 'The Firefly'"}
+                for db_id in ("a", "b") for i in range(3)]
+    write_dataset(tmp_path, examples, "a", SHOWS_DDL, {"show": SHOWS_ROWS})
+    dataset = write_dataset(tmp_path, examples, "b", SHOWS_DDL, {"show": SHOWS_ROWS})
+    draft = 'add_select(title)\nadd_from(show)\nadd_where(title, =, "the firefly")'
+    script = {e["question"]: draft for e in examples}
+    calls = Counter()
+    for name in ("load_catalog", "build_cell_index"):
+        def counting(*args, _name=name, _original=getattr(sqlmend.schema_catalog, name)):
+            calls[_name, Path(args[-1]).parent.name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(sqlmend.schema_catalog, name, counting)
+
+    reports = []
+    for workers in (1, 3):
+        calls.clear()
+        predictor = pipeline_predictor(lambda: ScriptedAgent(script), tmp_path / "database")
+        report = run_benchmark(dataset, predictor, post_process=True, workers=workers)
+        assert report.aggregates()["ex_rate"] == 1.0
+        assert calls == {(name, db_id): 1 for name in ("load_catalog", "build_cell_index")
+                         for db_id in ("a", "b")}
+        reports.append(json.dumps(report.to_json_dict(), sort_keys=True))
+    assert reports[0] == reports[1]
 
 
 def test_benchmark_bad_record_raises(tmp_path):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import sqlite3
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,8 @@ from sqlmend.postprocess import rewrite
 from sqlmend.retriever import inspect_sequence
 from sqlmend.schema_catalog import (
     CorruptDatabase,
+    Database,
+    SchemaCatalog,
     affinity_of,
     build_cell_index,
     load_catalog,
@@ -114,6 +118,56 @@ def test_load_catalog_corrupt_file(tmp_path):
     bad.write_text("this is not a database at all, not even close padding padding")
     with pytest.raises(CorruptDatabase):
         load_catalog(bad)
+
+
+def test_a_directory_is_not_a_database(tmp_path):
+    with pytest.raises(CorruptDatabase, match="is a directory, not a database file"):
+        load_catalog(tmp_path)
+    with pytest.raises(CorruptDatabase, match="is a directory, not a database file"):
+        build_cell_index(SchemaCatalog(tables=(), foreign_keys=(), source_path=""), tmp_path)
+
+
+def test_database_builds_on_first_use_and_keeps_the_path_as_given(tmp_path, monkeypatch,
+                                                                 episode_db):
+    import sqlmend.schema_catalog
+
+    missing = Database(tmp_path / "nope.sqlite")  # nothing is opened yet
+    with pytest.raises(FileNotFoundError):
+        missing.index
+    calls = []
+    for name in ("load_catalog", "build_cell_index"):
+        original = getattr(sqlmend.schema_catalog, name)
+        monkeypatch.setattr(sqlmend.schema_catalog, name,
+                            lambda *a, _n=name, _f=original: calls.append(_n) or _f(*a))
+    db = Database(str(episode_db))
+    assert db.path == str(episode_db)
+    assert db.index is db.index and db.catalog is db.catalog
+    assert calls == ["load_catalog", "build_cell_index"]
+    assert db.catalog == load_catalog(episode_db)
+
+
+def test_database_first_use_from_many_threads(episode_db, episode_catalog, episode_index):
+    def snapshot(catalog, index):
+        return catalog, [index.column_cells(t, c) for t, c in index.columns()]
+
+    db = Database(episode_db)
+    seen = []
+
+    def use():
+        seen.append(snapshot(db.catalog, db.index))
+
+    threads = [threading.Thread(target=use) for _ in range(16)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [snapshot(episode_catalog, episode_index)] * 16
 
 
 def test_load_catalog_excludes_internal_tables(tmp_db):
