@@ -144,6 +144,56 @@ def test_components_structure():
     assert where_conditions == frozenset({"a=?"})
 
 
+# Edge outputs of the clause parser that the lexer keeps as they were.
+WHERE_PINS = [
+    # BETWEEN's AND splits like a connective
+    ("x BETWEEN 1 AND 5", {"x between ?", "?"}, ("and",)),
+    # doubled-quote escapes stay inside one literal
+    ("n = 'O''Hara' AND m = \"say \"\"hi\"\"\"", {"n=?", "m=?"}, ("and",)),
+    ("b = 'order by'", {"b=?"}, ()),
+    ("(a = 1 OR (b = 2 AND c = 3)) AND d = 4", {"(a=? or(b=? and c=?))", "d=?"}, ("and",)),
+    # a number glued to letters is not masked
+    ("x = 1e5 AND y = 2.5", {"x=1e5", "y=?"}, ("and",)),
+    # a connective with no condition on one side stays on its neighbour
+    ("OR x = 1", {"or x=?"}, ("or",)),
+    ("x = 1 AND AND y = 2", {"x=?", "and y=?"}, ("and", "and")),
+    ("x = 1 AND OR y = 2", {"x=?", "or y=?"}, ("and", "or")),
+    ("x = 1 OR", {"x=? or"}, ("or",)),
+    ("x = 1 AND(y = 2)", {"x=? and(y=?)"}, ("and",)),
+    # a keyword glued to a digit is no keyword
+    ("x = 1from u", {"x=1from u"}, ()),
+    ("x = 1order by a", {"x=1order by a"}, ()),
+    # a stray quote starts no literal: the text after it is read on
+    ("a = 'x' AND b = 'y", {"a=?", "b='y"}, ("and",)),
+]
+
+
+@pytest.mark.parametrize("where, conditions, connectives", WHERE_PINS)
+def test_where_split_edges(where, conditions, connectives):
+    parts = sql_components(f"SELECT a FROM t WHERE {where}")
+    assert parts["where"] == (frozenset(conditions), connectives)
+    assert parts["from_tables"] == frozenset({"t"})
+    assert parts["order by"] == ""
+
+
+def test_keywords_inside_identifiers_are_not_keywords():
+    sql = "SELECT order_id, ordering, byline FROM t1 ORDER BY order_id"
+    parts = sql_components(sql)
+    assert parts["select"] == frozenset({"order_id", "ordering", "byline"})
+    assert parts["from_tables"] == frozenset({"t1"})
+    assert parts["order by"] == "order_id"
+    assert has_top_level_order_by(sql)
+    assert not has_top_level_order_by("SELECT order_id, byline FROM t1")
+    assert not has_top_level_order_by("SELECT a FROM t WHERE b = 'order by'")
+    assert not has_top_level_order_by("SELECT a FROM t WHERE x = 1order by a")
+
+
+def test_order_by_detection_skips_nested_parens():
+    assert not has_top_level_order_by(
+        "SELECT a FROM t WHERE a IN (SELECT b FROM (SELECT b FROM u ORDER BY b) ORDER BY b)")
+    assert has_top_level_order_by("SELECT (a) FROM t ORDER\n  BY (a)")
+
+
 # ---------------------------------------------------------------------------
 # run_benchmark
 # ---------------------------------------------------------------------------

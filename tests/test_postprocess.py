@@ -40,6 +40,14 @@ def test_extract_handles_doubled_quotes():
     assert cond.literal == "O'Hara"
 
 
+def test_extract_stray_quote_starts_no_literal():
+    # an unterminated quote is skipped and the text after it read on
+    sql = "SELECT * FROM t WHERE a = 'x' AND b = 'y"
+    assert [(c.column, c.literal) for c in extract_conditions(sql)] == [("a", "x")]
+    sql = "SELECT * FROM t WHERE a = 'x AND b = \"y\""
+    assert [(c.column, c.literal, c.start) for c in extract_conditions(sql)] == [("b", "y", 37)]
+
+
 def test_extract_garbage_yields_empty():
     assert extract_conditions("complete nonsense (((") == []
 
