@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 import sqlite3
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -21,6 +20,7 @@ from pathlib import Path
 from typing import Callable
 
 from .schema_catalog import Database, connect_readonly
+from .sqllex import STRING_KINDS, Token, tokenize, unquote
 
 DEFAULT_TIMEOUT_S = 30.0
 FLOAT_REL_TOL = 1e-6
@@ -124,29 +124,10 @@ def execute_sql(db_path: str | Path, sql: str,
         conn.close()
 
 
-_ORDER_BY_RE = re.compile(r"\border\s+by\b", re.IGNORECASE)
-
-
 def has_top_level_order_by(sql: str) -> bool:
-    depth = 0
-    in_str: str | None = None
-    i = 0
-    while i < len(sql):
-        ch = sql[i]
-        if in_str:
-            if ch == in_str:
-                in_str = None
-        elif ch in "'\"":
-            in_str = ch
-        elif ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and sql[i:i + 5].lower() == "order":
-            if _ORDER_BY_RE.match(sql, i):
-                return True
-        i += 1
-    return False
+    tokens = tokenize(sql)
+    return any(first.depth == 0 and _word(first) == "order" and _word(second) == "by"
+               for first, second in zip(tokens, tokens[1:]))
 
 
 def _cell_key(value) -> tuple:
@@ -211,205 +192,146 @@ def execution_accuracy(pred: str, gold: str, db_path: str | Path,
 # Simplified exact match
 # ---------------------------------------------------------------------------
 
-_CLAUSE_KEYWORDS = ("select", "from", "where", "group by", "having", "order by", "limit")
+_TIGHT = "=<>!.,()"  # a fragment keeps no space next to these
 
 
-def _mask_literals(text: str) -> str:
-    text = re.sub(r"'(?:[^']|'')*'", "?", text)
-    text = re.sub(r'"(?:[^"]|"")*"', "?", text)
-    text = re.sub(r"\b\d+(?:\.\d+)?\b", "?", text)
-    return text
+def _word(token: Token) -> str | None:
+    return token.text.lower() if token.kind == "word" else None
 
 
-def _normalize_fragment(text: str) -> str:
-    text = _mask_literals(text)
-    text = text.replace("<>", "!=")
-    text = re.sub(r"\s*([=<>!.,()])\s*", r"\1", text)
-    return re.sub(r"\s+", " ", text).strip().lower()
+def _split(tokens: list[Token], is_separator) -> list[list[Token]]:
+    parts: list[list[Token]] = [[]]
+    for token in tokens:
+        if is_separator(token):
+            parts.append([])
+        else:
+            parts[-1].append(token)
+    return parts
 
 
-def _split_top_level(text: str, separators: tuple[str, ...]) -> list[str]:
-    parts: list[str] = []
-    depth = 0
-    in_str: str | None = None
-    token_start = 0
-    i = 0
-    lowered = text.lower()
-    while i < len(text):
-        ch = text[i]
-        if in_str:
-            if ch == in_str:
-                in_str = None
-            i += 1
+def _normalize_fragment(tokens: list[Token]) -> str:
+    """A fragment's text with literals masked as `?` and `<>` as `!=`, one
+    space where the query had whitespace or a comment except next to
+    `=<>!.,()`, lowercased. A number glued to letters (`1e5`) stays."""
+    out = []
+    for i, token in enumerate(tokens):
+        if token.kind in STRING_KINDS or (
+                token.kind == "number" and token.text.replace(".", "", 1).isdecimal()):
+            text = "?"
+        elif token.text == "<>":
+            text = "!="
+        else:
+            text = token.text
+        if i and tokens[i - 1].end < token.start and tokens[i - 1].text[0] not in _TIGHT \
+                and text[0] not in _TIGHT:
+            out.append(" ")
+        out.append(text)
+    return "".join(out).lower()
+
+
+def _split_conditions(clause: list[Token]) -> tuple[list[list[Token]], list[str]]:
+    """A WHERE/HAVING clause's conditions and its depth-0 connectives. An
+    AND/OR splits only with a space or comment on both sides and a
+    condition before it, so a leading or doubled connective stays in the
+    text of the condition after it."""
+    parts, connectives, start = [], [], 0
+    for i, token in enumerate(clause):
+        word = _word(token)
+        if token.depth != 0 or word not in ("and", "or"):
             continue
-        if ch in "'\"":
-            in_str = ch
-        elif ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0:
-            for sep in separators:
-                if lowered.startswith(sep, i):
-                    parts.append(text[token_start:i])
-                    token_start = i + len(sep)
-                    i += len(sep)
-                    break
-            else:
-                i += 1
-                continue
-            continue
-        i += 1
-    parts.append(text[token_start:])
-    return [p.strip() for p in parts]
-
-
-def _word_boundary(text: str, pos: int, word: str) -> bool:
-    before_ok = pos == 0 or not (text[pos - 1].isalnum() or text[pos - 1] == "_")
-    end = pos + len(word)
-    after_ok = end >= len(text) or not (text[end].isalnum() or text[end] == "_")
-    return before_ok and after_ok
+        connectives.append(word)
+        if start < i < len(clause) - 1 and clause[i - 1].end < token.start \
+                and token.end < clause[i + 1].start:
+            parts.append(clause[start:i])
+            start = i + 1
+    parts.append(clause[start:])
+    return parts, connectives
 
 
 def sql_components(sql: str) -> dict | None:
     """Clause components with literals masked, or None when the query is
     outside this parser's coverage (set operators, subqueries, no SELECT).
     """
-    text = re.sub(r"\s+", " ", sql.strip().rstrip(";").strip())
-    lowered = text.lower()
-    if not lowered.startswith("select"):
+    tokens = tokenize(sql)
+    while tokens and tokens[-1].text == ";":
+        tokens.pop()
+    words = [_word(token) for token in tokens]
+    if not words or words[0] != "select" or words.count("select") > 1:
+        return None  # a second select means a subquery
+    texts = [token.text for token in tokens]
+    if texts.count("(") != texts.count(")"):
         return None
-    if text.count("(") != text.count(")"):
-        return None
-    for word in ("union", "intersect", "except"):
-        if re.search(rf"\b{word}\b", lowered):
-            return None
-    # a nested select means a subquery
-    if len(re.findall(r"\bselect\b", lowered)) > 1:
+    if any(word in ("union", "intersect", "except") for word in words):
         return None
 
-    clause_positions: list[tuple[int, str]] = []
-    depth = 0
-    in_str: str | None = None
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if in_str:
-            if ch == in_str:
-                in_str = None
-            i += 1
+    starts: list[tuple[int, str, int]] = []  # token index, clause keyword, its width
+    for i, (token, word) in enumerate(zip(tokens, words)):
+        if token.depth != 0:
             continue
-        if ch in "'\"":
-            in_str = ch
-        elif ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0:
-            for keyword in _CLAUSE_KEYWORDS:
-                if lowered.startswith(keyword, i) and _word_boundary(lowered, i, keyword):
-                    clause_positions.append((i, keyword))
-                    i += len(keyword)
-                    break
-            else:
-                i += 1
-                continue
-            continue
-        i += 1
-    if not clause_positions or clause_positions[0][1] != "select":
+        if word in ("group", "order") and i + 1 < len(words) and words[i + 1] == "by":
+            starts.append((i, f"{word} by", 2))
+        elif word in ("select", "from", "where", "having", "limit"):
+            starts.append((i, word, 1))
+    keywords = [keyword for _, keyword, _ in starts]
+    if len(set(keywords)) != len(keywords):
         return None
-    seen = [k for _, k in clause_positions]
-    if len(set(seen)) != len(seen):
-        return None
+    ends = [i for i, _, _ in starts[1:]] + [len(tokens)]
+    clauses = {keyword: tokens[i + width:end] for (i, keyword, width), end in zip(starts, ends)}
 
-    clauses: dict[str, str] = {}
-    for idx, (pos, keyword) in enumerate(clause_positions):
-        end = clause_positions[idx + 1][0] if idx + 1 < len(clause_positions) else len(text)
-        clauses[keyword] = text[pos + len(keyword):end].strip()
+    def comma_list(clause: list[Token]) -> frozenset:
+        return frozenset(_normalize_fragment(item) for item in
+                         _split(clause, lambda t: t.depth == 0 and t.text == ","))
 
-    components: dict[str, object] = {}
-    components["select"] = frozenset(
-        _normalize_fragment(item) for item in _split_top_level(clauses.get("select", ""), (",",)))
-    from_clause = clauses.get("from", "")
-    tables, join_conditions = _from_components(from_clause)
+    components: dict[str, object] = {"select": comma_list(clauses["select"])}
+    tables, join_conditions = _from_components(clauses.get("from", []))
     if tables is None:
         return None
     components["from_tables"] = tables
     components["join_conditions"] = join_conditions
-    for clause, key in (("where", "where"), ("having", "having")):
-        if clause in clauses:
-            conditions = _split_top_level(clauses[clause], (" and ", " or "))
-            connectives = _connectives(clauses[clause])
-            components[key] = (frozenset(_normalize_fragment(c) for c in conditions),
-                               tuple(sorted(connectives)))
-        else:
-            components[key] = (frozenset(), ())
-    components["group by"] = frozenset(
-        _normalize_fragment(c) for c in _split_top_level(clauses.get("group by", ""), (",",))
-    ) if "group by" in clauses else frozenset()
-    components["order by"] = _normalize_fragment(clauses.get("order by", ""))
+    for key in ("where", "having"):
+        conditions, connectives = _split_conditions(clauses[key]) if key in clauses else ([], [])
+        components[key] = (frozenset(map(_normalize_fragment, conditions)),
+                           tuple(sorted(connectives)))
+    components["group by"] = comma_list(clauses["group by"]) if "group by" in clauses \
+        else frozenset()
+    components["order by"] = _normalize_fragment(clauses.get("order by", []))
     components["limit"] = "limit" in clauses
     return components
 
 
-def _connectives(clause: str) -> list[str]:
-    out = []
-    depth = 0
-    in_str: str | None = None
-    lowered = clause.lower()
-    i = 0
-    while i < len(clause):
-        ch = clause[i]
-        if in_str:
-            if ch == in_str:
-                in_str = None
-        elif ch in "'\"":
-            in_str = ch
-        elif ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0:
-            for word in ("and", "or"):
-                if lowered.startswith(word, i) and _word_boundary(lowered, i, word):
-                    out.append(word)
-                    i += len(word)
-                    break
-            else:
-                i += 1
-                continue
+def _from_components(tokens: list[Token]):
+    """FROM tables and join conditions; (None, None) when a table is not a
+    plain name."""
+    parts, start = [], 0
+    for i, token in enumerate(tokens):
+        if _word(token) != "join":
             continue
-        i += 1
-    return out
-
-
-def _from_components(from_clause: str):
-    if not from_clause:
-        return frozenset(), frozenset()
-    text = re.sub(r"\s+", " ", from_clause.strip())
-    if not text:
-        return frozenset(), frozenset()
-    parts = re.split(r"\b(?:inner\s+join|left\s+(?:outer\s+)?join|cross\s+join|join)\b",
-                     text, flags=re.IGNORECASE)
+        end = i  # INNER, CROSS, LEFT and LEFT OUTER belong to the JOIN
+        if [_word(t) for t in tokens[max(i - 2, 0):i]] == ["left", "outer"]:
+            end -= 2
+        elif i and _word(tokens[i - 1]) in ("inner", "cross", "left"):
+            end -= 1
+        parts.append(tokens[start:end])
+        start = i + 1
+    parts.append(tokens[start:])
     tables = []
     joins = []
     for part in parts:
-        part = part.strip().rstrip(",")
-        if not part:
-            continue
-        on_split = re.split(r"\bon\b", part, flags=re.IGNORECASE)
-        head = on_split[0].strip()
-        for chunk in head.split(","):
-            words = chunk.strip().split()
-            if not words:
+        while part and part[-1].text == ",":
+            part.pop()
+        head, *conditions = _split(part, lambda t: _word(t) == "on")
+        for chunk in _split(head, lambda t: t.text == ","):
+            if not chunk:
                 continue
-            if not re.match(r"[A-Za-z_\"][\w\"]*$", words[0]):
+            name = chunk[0]
+            if name.kind not in ("word", "dquote", "ident") or \
+                    (len(chunk) > 1 and chunk[1].start == name.end):
                 return None, None
-            tables.append(words[0].strip('"').lower())
-        for condition in on_split[1:]:
-            joins.append(frozenset(_normalize_fragment(side)
-                                   for side in condition.split("=")))
-    return frozenset(tables), frozenset(map(tuple, (sorted(j) for j in joins)))
+            tables.append((name.text if name.kind == "word" else unquote(name)).lower())
+        for condition in conditions:
+            joins.append(tuple(sorted({_normalize_fragment(side) for side in
+                                       _split(condition, lambda t: t.text == "=")})))
+    return frozenset(tables), frozenset(joins)
 
 
 def exact_match(pred: str, gold: str) -> bool | None:

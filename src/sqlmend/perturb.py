@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .actions import ColumnRef
 from .schema_catalog import CellIndex, SchemaCatalog
+from .sqllex import STRING_KINDS, quote, tokenize, unquote
 
 QUOTE_CHARS = "\"'`“”‘’"
 ARTICLES = frozenset({"a", "an", "the"})
@@ -231,15 +232,9 @@ def replace_common_value(example: AnnotatedExample, catalog: SchemaCatalog,
 
 
 def _replace_sql_literal(sql: str, old: str, new: str) -> str:
-    for quote, escape in (("'", old.replace("'", "''")), ('"', old.replace('"', '""'))):
-        token = quote + escape + quote
-        position = sql.find(token)
-        if position != -1:
-            if quote == "'":
-                replacement = quote + new.replace("'", "''") + quote
-            else:
-                replacement = quote + new.replace('"', '""') + quote
-            return sql[:position] + replacement + sql[position + len(token):]
+    for token in tokenize(sql):
+        if token.kind in STRING_KINDS and unquote(token) == old:
+            return sql[:token.start] + quote(new, token.text[0]) + sql[token.end:]
     position = sql.find(old)
     if position == -1:
         return sql

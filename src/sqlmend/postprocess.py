@@ -9,22 +9,11 @@ point of the baseline, and a threshold exists only as an opt-in.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .retriever import TrigramBackend
 from .schema_catalog import CellIndex, SchemaCatalog
-
-_TOKEN_RE = re.compile(
-    r"""(?P<squote>'(?:[^']|'')*')
-      | (?P<dquote>"(?:[^"]|"")*")
-      | (?P<word>[A-Za-z_]\w*)
-      | (?P<number>\d+(?:\.\d+)?)
-      | (?P<op><>|<=|>=|!=|=|<|>)
-      | (?P<punct>[.,()*;])
-    """,
-    re.VERBOSE,
-)
+from .sqllex import STRING_KINDS, Token, quote, tokenize, unquote
 
 _REGION_OPENERS = {"where", "having"}
 _REGION_CLOSERS = {"select", "from", "group", "order", "limit", "union",
@@ -46,34 +35,11 @@ class ExtractedCondition:
     quote: str
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    start: int
-    end: int
-
-
-def _tokenize(sql: str) -> list[_Token]:
-    tokens = []
-    for match in _TOKEN_RE.finditer(sql):
-        kind = match.lastgroup
-        tokens.append(_Token(kind=kind, text=match.group(), start=match.start(),
-                             end=match.end()))
-    return tokens
-
-
-def _unquote(token: _Token) -> str:
-    body = token.text[1:-1]
-    if token.kind == "squote":
-        return body.replace("''", "'")
-    return body.replace('""', '"')
-
-
-def _requote(value: str, quote: str) -> str:
-    if quote == "'":
-        return "'" + value.replace("'", "''") + "'"
-    return '"' + value.replace('"', '""') + '"'
+def _name(token: Token) -> str | None:
+    """The name a word or quoted identifier token spells."""
+    if token.kind == "word":
+        return token.text
+    return unquote(token) if token.kind == "ident" else None
 
 
 def extract_conditions(sql: str) -> list[ExtractedCondition]:
@@ -81,7 +47,10 @@ def extract_conditions(sql: str) -> list[ExtractedCondition]:
     order, with byte spans for in-place rewriting. Unrecognizable input
     yields an empty list.
     """
-    tokens = _tokenize(sql)
+    return _conditions(tokenize(sql))
+
+
+def _conditions(tokens: list[Token]) -> list[ExtractedCondition]:
     out: list[ExtractedCondition] = []
     in_region = False
     for i, token in enumerate(tokens):
@@ -92,7 +61,7 @@ def extract_conditions(sql: str) -> list[ExtractedCondition]:
             elif lowered in _REGION_CLOSERS:
                 in_region = False
             continue
-        if not in_region or token.kind not in ("squote", "dquote"):
+        if not in_region or token.kind not in STRING_KINDS:
             continue
         op_token = tokens[i - 1] if i >= 1 else None
         if op_token is None:
@@ -104,33 +73,29 @@ def extract_conditions(sql: str) -> list[ExtractedCondition]:
             continue
         # look back for [table .] column
         j = i - 2
-        if j < 0 or tokens[j].kind != "word":
+        column = _name(tokens[j]) if j >= 0 else None
+        if column is None:
             continue
-        column = tokens[j].text
-        table = None
-        if j >= 2 and tokens[j - 1].kind == "punct" and tokens[j - 1].text == "." \
-                and tokens[j - 2].kind == "word":
-            table = tokens[j - 2].text
+        table = _name(tokens[j - 2]) if j >= 2 and tokens[j - 1].text == "." else None
         out.append(ExtractedCondition(
             table=table, column=column, op="!=" if op_text == "<>" else op_text,
-            literal=_unquote(token), start=token.start, end=token.end,
-            quote="'" if token.kind == "squote" else '"'))
+            literal=unquote(token), start=token.start, end=token.end, quote=token.text[0]))
     return out
 
 
-def _from_scope(sql: str) -> tuple[list[str], dict[str, str]]:
+def _from_scope(tokens: list[Token]) -> tuple[list[str], dict[str, str]]:
     """Tables named in FROM/JOIN clauses plus an alias -> table map."""
-    tokens = _tokenize(sql)
     tables: list[str] = []
     aliases: dict[str, str] = {}
     state = None  # None | "expect_table" | "after_table" | "in_on"
     last_table: str | None = None
     for i, token in enumerate(tokens):
-        if token.kind != "word":
-            if token.kind == "punct" and token.text == "," and state in ("after_table", "in_on"):
+        name = _name(token)
+        if name is None:
+            if token.text == "," and state in ("after_table", "in_on"):
                 state = "expect_table"
             continue
-        lowered = token.text.lower()
+        lowered = token.text.lower() if token.kind == "word" else None
         if lowered == "from":
             state = "expect_table"
             continue
@@ -149,14 +114,14 @@ def _from_scope(sql: str) -> tuple[list[str], dict[str, str]]:
             continue
         if state == "expect_table":
             # skip qualified column parts that slip through
-            if i + 1 < len(tokens) and tokens[i + 1].kind == "punct" and tokens[i + 1].text == ".":
+            if i + 1 < len(tokens) and tokens[i + 1].text == ".":
                 continue
-            tables.append(token.text)
-            last_table = token.text
+            tables.append(name)
+            last_table = name
             state = "after_table"
         elif state == "after_table":
             if last_table is not None:
-                aliases[token.text.lower()] = last_table
+                aliases[name.lower()] = last_table
             state = "in_on"
     return tables, aliases
 
@@ -168,11 +133,12 @@ def rewrite(sql: str, catalog: SchemaCatalog, index: CellIndex, *,
     untouched; everything outside literal spans is byte-preserved.
     """
     backend = backend or TrigramBackend()
-    tables, aliases = _from_scope(sql)
+    tokens = tokenize(sql)
+    tables, aliases = _from_scope(tokens)
     # a query naming no known table leaves the whole catalog as the scope
     scope = [t for t in tables if catalog.table(t) is not None] or None
     replacements: list[tuple[int, int, str]] = []
-    for condition in extract_conditions(sql):
+    for condition in _conditions(tokens):
         table = condition.table
         if table is not None:
             table = aliases.get(table.lower(), table)
@@ -188,7 +154,7 @@ def rewrite(sql: str, catalog: SchemaCatalog, index: CellIndex, *,
         if best_score < min_score:
             continue
         replacements.append((condition.start, condition.end,
-                             _requote(best_raw, condition.quote)))
+                             quote(best_raw, condition.quote)))
     for start, end, text in sorted(replacements, reverse=True):
         sql = sql[:start] + text + sql[end:]
     return sql

@@ -194,6 +194,61 @@ def test_order_by_detection_skips_nested_parens():
     assert has_top_level_order_by("SELECT (a) FROM t ORDER\n  BY (a)")
 
 
+@pytest.mark.parametrize("sql, ordered", [
+    ("SELECT a FROM t -- order by b", False),
+    ("SELECT a FROM t -- don't\nORDER BY a", True),
+    ("SELECT a FROM t /* order by b */", False),
+    ("SELECT a FROM t /* don't */ ORDER BY a", True),
+    ("SELECT [order by] FROM t", False),
+    # the text after a stray quote is read on
+    ("SELECT a FROM t WHERE b = 'x ORDER BY a", True),
+])
+def test_order_by_detection_knows_comments_and_identifiers(sql, ordered):
+    assert has_top_level_order_by(sql) is ordered
+
+
+def test_comments_reach_no_fragment():
+    parts = sql_components("SELECT a, b -- first, second\nFROM t /* the, table */ "
+                           "WHERE x = 1 -- don't\nORDER BY a")
+    assert parts["select"] == frozenset({"a", "b"})
+    assert parts["from_tables"] == frozenset({"t"})
+    assert parts["where"] == (frozenset({"x=?"}), ())
+    assert parts["order by"] == "a"
+    assert sql_components("-- lead\nSELECT a FROM t;  -- done")["select"] == frozenset({"a"})
+
+
+@pytest.mark.parametrize("where", ["name = 'Union Station'", "b = '('", "b = 'select'"])
+def test_keywords_and_parens_inside_literals_keep_coverage(where):
+    sql = f"SELECT a FROM t WHERE {where}"
+    assert sql_components(sql) is not None
+    assert exact_match(sql, sql.replace("'", '"')) is True
+
+
+def test_quoted_identifiers_are_identifiers():
+    parts = sql_components("SELECT [order by], `a'b` FROM [t] JOIN `u` ON [t].x = `u`.y "
+                           "WHERE c IN (\"it's\", 'x')")
+    assert parts["select"] == frozenset({"[order by]", "`a'b`"})
+    assert parts["from_tables"] == frozenset({"t", "u"})
+    assert parts["join_conditions"] == frozenset({("[t].x", "`u`.y")})
+    assert parts["where"] == (frozenset({"c in(?,?)"}), ())
+
+
+def test_clause_parser_reads_whole_tokens():
+    where = lambda sql: sql_components(sql)["where"]  # noqa: E731
+    # a stray quote starts no literal, so the AND after it splits
+    assert where("SELECT a FROM t WHERE a = 'x AND b = \"y\"") == \
+        (frozenset({"a='x", "b=?"}), ("and",))
+    # a number glued to letters is one token, kept as written
+    assert where("SELECT a FROM t WHERE x = 1.5x") == (frozenset({"x=1.5x"}), ())
+    # a join condition splits at = only
+    assert sql_components("SELECT t.a FROM t JOIN u ON t.a >= u.b")["join_conditions"] == \
+        frozenset({("t.a>=u.b",)})
+    assert sql_components('SELECT a FROM "my table"')["from_tables"] == frozenset({"my table"})
+    assert sql_components("SELECT a FROM t; ;")["from_tables"] == frozenset({"t"})
+    # a first word that only begins with select is no SELECT
+    assert sql_components("SELECTa SELECT b FROM t") is None
+
+
 # ---------------------------------------------------------------------------
 # run_benchmark
 # ---------------------------------------------------------------------------

@@ -141,6 +141,29 @@ def test_replace_common_value_single_cell_not_applicable(tmp_db):
         replace_common_value(example, catalog, index, rng_seed=0)
 
 
+@pytest.mark.parametrize("gold, expected", [
+    # a whole string token, not the prefix of an escaped one
+    ("SELECT * FROM t WHERE n = 'a''b' OR n = 'a'", "SELECT * FROM t WHERE n = 'a''b' OR n = 'Z'"),
+    # a quoted copy inside a comment is no literal
+    ("SELECT * FROM t -- was n = 'a'\nWHERE n = 'a'",
+     "SELECT * FROM t -- was n = 'a'\nWHERE n = 'Z'"),
+    # the first literal in text order, whatever its quotes
+    ("SELECT * FROM t WHERE n = \"a\" OR m = 'a'", "SELECT * FROM t WHERE n = \"Z\" OR m = 'a'"),
+])
+def test_replace_common_value_replaces_a_whole_string_token(tmp_db, gold, expected):
+    from sqlmend.schema_catalog import build_cell_index, load_catalog
+
+    db = tmp_db("CREATE TABLE t (n TEXT, m TEXT);", {"t": [("a", "a"), ("Z", "Z")]})
+    catalog = load_catalog(db)
+    index = build_cell_index(catalog, db)
+    example = AnnotatedExample(question="is it a?", gold_sql=gold, db_id="d",
+                               value_spans=(ValueSpan(span=Span(6, 7), column="t.n",
+                                                      literal="a"),))
+    out = replace_common_value(example, catalog, index, rng_seed=0)
+    assert out.question == "is it Z?"
+    assert out.gold_sql == expected
+
+
 def test_replaced_gold_still_executes(annotated, episode_db, episode_catalog, episode_index):
     out = replace_common_value(annotated, episode_catalog, episode_index, rng_seed=3)
     assert execution_accuracy(out.gold_sql, out.gold_sql, episode_db) is True

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-from sqlmend.postprocess import extract_conditions, rewrite
+from sqlmend.postprocess import _from_scope, extract_conditions, rewrite
+from sqlmend.sqllex import tokenize
 
 
 def test_extract_single_condition():
@@ -131,3 +132,36 @@ def test_rewrite_min_score_threshold(episode_catalog, episode_index):
 def test_rewrite_malformed_sql_passes_through(episode_catalog, episode_index):
     junk = "not even sql"
     assert rewrite(junk, episode_catalog, episode_index) == junk
+
+
+def test_rewrite_leaves_literals_in_comments_untouched(episode_catalog, episode_index):
+    sql = ("SELECT title FROM episode -- title = 'x'\nWHERE written_by = 'todd casey' "
+           "/* AND title = 'double down' */ -- OR directed_by = 'fred toye'")
+    assert [c.literal for c in extract_conditions(sql)] == ["todd casey"]
+    assert rewrite(sql, episode_catalog, episode_index) == sql.replace("'todd casey'",
+                                                                       "'Todd Casey'")
+
+
+def test_from_scope_reads_no_name_from_a_comment(episode_catalog, episode_index):
+    assert _from_scope(tokenize("SELECT a FROM t -- don't\nORDER BY a")) == (["t"], {})
+    sql = "SELECT * FROM -- episode\nnetwork WHERE name = 'fox'"
+    assert rewrite(sql, episode_catalog, episode_index) == sql.replace("'fox'", "'Fox'")
+
+
+def test_quoted_identifiers_name_columns_and_tables(episode_catalog, episode_index):
+    sql = "SELECT * FROM [episode] AS `e` WHERE `e`.[written_by] = 'todd casey'"
+    [cond] = extract_conditions(sql)
+    assert (cond.table, cond.column) == ("e", "written_by")
+    assert _from_scope(tokenize(sql)) == (["episode"], {"e": "episode"})
+    assert rewrite(sql, episode_catalog, episode_index) == sql.replace("'todd casey'",
+                                                                       "'Todd Casey'")
+    # a keyword in brackets is a name, not a keyword
+    assert extract_conditions("SELECT * FROM t WHERE [from] = 'x'")[0].column == "from"
+
+
+def test_extract_reads_whole_tokens():
+    # a number glued to letters names no column
+    assert extract_conditions("SELECT * FROM t WHERE 1e5 = 'x'") == []
+    # a character between operator and literal breaks the comparison
+    assert extract_conditions("SELECT * FROM t WHERE a = +'x'") == []
+    assert _from_scope(tokenize("SELECT * FROM t WHERE x = 1from u")) == (["t"], {})
