@@ -275,7 +275,11 @@ class _ArgError(Exception):
 
 
 def _split_args(text: str) -> list[str]:
-    """Split a call's argument text on top-level commas."""
+    """Split a call's argument text on top-level commas.
+
+    This is the action DSL's grammar, not SQL: its strings take backslash
+    escapes, so it does not read sqllex tokens.
+    """
     parts: list[str] = []
     buf: list[str] = []
     depth = 0

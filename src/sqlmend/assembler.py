@@ -29,6 +29,7 @@ from .actions import (
     SubqueryRef,
     walk_levels,
 )
+from .sqllex import quote
 
 SQLITE_KEYWORDS = frozenset("""
     select from where group order by having limit offset join on as and or
@@ -63,7 +64,7 @@ def quote_identifier(name: str) -> str:
     """Quote only when necessary: reserved word or non-alphanumerics."""
     if _PLAIN_IDENT_RE.match(name) and name.lower() not in SQLITE_KEYWORDS:
         return name
-    return '"' + name.replace('"', '""') + '"'
+    return quote(name, '"')
 
 
 def _column_sql(text: str) -> str:
@@ -75,13 +76,9 @@ def _column_sql(text: str) -> str:
     return f"{quote_identifier(ref.table)}.{quote_identifier(ref.column)}"
 
 
-def _text_sql(value: str) -> str:
-    return "'" + value.replace("'", "''") + "'"
-
-
 def _scalar_sql(literal: Literal) -> str:
     if literal.kind == "text":
-        return _text_sql(literal.value)
+        return quote(literal.value, "'")
     if literal.kind == "number":
         return repr(literal.value)
     if literal.kind == "null":

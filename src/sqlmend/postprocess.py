@@ -61,22 +61,19 @@ def _conditions(tokens: list[Token]) -> list[ExtractedCondition]:
             elif lowered in _REGION_CLOSERS:
                 in_region = False
             continue
-        if not in_region or token.kind not in STRING_KINDS:
+        if not in_region or token.kind not in STRING_KINDS or i < 2:
             continue
-        op_token = tokens[i - 1] if i >= 1 else None
-        if op_token is None:
-            continue
+        op_token = tokens[i - 1]
         op_text = op_token.text
         if op_token.kind == "word" and op_token.text.lower() == "like":
             op_text = "LIKE"
         elif op_token.kind != "op" or op_token.text not in _COMPARE_OPS:
             continue
         # look back for [table .] column
-        j = i - 2
-        column = _name(tokens[j]) if j >= 0 else None
+        column = _name(tokens[i - 2])
         if column is None:
             continue
-        table = _name(tokens[j - 2]) if j >= 2 and tokens[j - 1].text == "." else None
+        table = _name(tokens[i - 4]) if i >= 4 and tokens[i - 3].text == "." else None
         out.append(ExtractedCondition(
             table=table, column=column, op="!=" if op_text == "<>" else op_text,
             literal=unquote(token), start=token.start, end=token.end, quote=token.text[0]))
@@ -88,7 +85,6 @@ def _from_scope(tokens: list[Token]) -> tuple[list[str], dict[str, str]]:
     tables: list[str] = []
     aliases: dict[str, str] = {}
     state = None  # None | "expect_table" | "after_table" | "in_on"
-    last_table: str | None = None
     for i, token in enumerate(tokens):
         name = _name(token)
         if name is None:
@@ -117,11 +113,9 @@ def _from_scope(tokens: list[Token]) -> tuple[list[str], dict[str, str]]:
             if i + 1 < len(tokens) and tokens[i + 1].text == ".":
                 continue
             tables.append(name)
-            last_table = name
             state = "after_table"
         elif state == "after_table":
-            if last_table is not None:
-                aliases[name.lower()] = last_table
+            aliases[name.lower()] = tables[-1]
             state = "in_on"
     return tables, aliases
 

@@ -163,7 +163,7 @@ WHERE_PINS = [
     # a keyword glued to a digit is no keyword
     ("x = 1from u", {"x=1from u"}, ()),
     ("x = 1order by a", {"x=1order by a"}, ()),
-    # a stray quote starts no literal: the text after it is read on
+    # a stray quote in the last condition masks nothing
     ("a = 'x' AND b = 'y", {"a=?", "b='y"}, ("and",)),
 ]
 
@@ -234,12 +234,12 @@ def test_quoted_identifiers_are_identifiers():
 
 
 def test_clause_parser_reads_whole_tokens():
-    where = lambda sql: sql_components(sql)["where"]  # noqa: E731
     # a stray quote starts no literal, so the AND after it splits
-    assert where("SELECT a FROM t WHERE a = 'x AND b = \"y\"") == \
+    assert sql_components("SELECT a FROM t WHERE a = 'x AND b = \"y\"")["where"] == \
         (frozenset({"a='x", "b=?"}), ("and",))
     # a number glued to letters is one token, kept as written
-    assert where("SELECT a FROM t WHERE x = 1.5x") == (frozenset({"x=1.5x"}), ())
+    assert sql_components("SELECT a FROM t WHERE x = 1.5x")["where"] == \
+        (frozenset({"x=1.5x"}), ())
     # a join condition splits at = only
     assert sql_components("SELECT t.a FROM t JOIN u ON t.a >= u.b")["join_conditions"] == \
         frozenset({("t.a>=u.b",)})
