@@ -230,6 +230,7 @@ def digests(seed: int, n: int) -> list[str]:
                       generate_sql(shape_seed, rng.randrange(1 << 30))))
     pairs += list(zip(queries, queries[1:]))
 
+    # the catalog and the cell index live in memory; the file can go
     with tempfile.TemporaryDirectory(prefix="sqlmend-differential-") as workdir:
         db = make_db(Path(workdir) / "episodes.sqlite", EPISODE_DDL, {
             "episode": EPISODE_ROWS, "pairing": PAIRING_ROWS, "network": NETWORK_ROWS})
