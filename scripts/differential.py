@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Differential digest of the SQL-text surfaces (McKeeman, "Differential
-Testing for Software", DTJ 1998).
+"""Differential digest of the SQL-text and retriever surfaces (McKeeman,
+"Differential Testing for Software", DTJ 1998).
 
-Generates N random SQL strings from a seeded `random.Random`, over the
-episode fixture of tests/conftest.py, and prints one SHA-256 per surface:
+Generates N random SQL strings and N condition literals from a seeded
+`random.Random`, over the episode fixture of tests/conftest.py, and prints
+one SHA-256 per surface:
 
   order_by      has_top_level_order_by of every string
   components    sql_components, frozensets sorted
@@ -11,6 +12,8 @@ episode fixture of tests/conftest.py, and prints one SHA-256 per surface:
   conditions    extract_conditions
   rewrite       rewrite against the episode catalog and cell index
   replace_value replace_common_value over a gold query carrying a cell
+  candidates    check_condition verdicts on the TEXT columns at k = 1 and
+                k = 5, candidate raws and repr(score) included
 
 Two checkouts that print the same lines for a seed agree on all of them.
 The script uses only long-standing public names, so it can score another
@@ -42,10 +45,12 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from conftest import EPISODE_DDL, EPISODE_ROWS, NETWORK_ROWS, PAIRING_ROWS, make_db  # noqa: E402
 
+from sqlmend.actions import AddWhere, ColumnRef, Literal  # noqa: E402
 from sqlmend.evaluation import exact_match, has_top_level_order_by, sql_components  # noqa: E402
 from sqlmend.perturb import AnnotatedExample, NoApplicableSpan, Span, ValueSpan  # noqa: E402
 from sqlmend.perturb import replace_common_value  # noqa: E402
 from sqlmend.postprocess import extract_conditions, rewrite  # noqa: E402
+from sqlmend.retriever import Matched, Mismatch, check_condition  # noqa: E402
 from sqlmend.schema_catalog import build_cell_index, load_catalog  # noqa: E402
 
 TABLES = {
@@ -59,6 +64,7 @@ TEXT_COLUMNS = ["episode.title", "episode.air_date", "episode.written_by",
 CELLS = sorted({str(cell) for rows in (EPISODE_ROWS, PAIRING_ROWS, NETWORK_ROWS)
                 for row in rows for cell in row if isinstance(cell, str)})
 TEXT_TABLES = ["episode", "pairing", "network"]
+ROWS = {"episode": EPISODE_ROWS, "pairing": PAIRING_ROWS, "network": NETWORK_ROWS}
 NUMBERS = ["1", "5", "42", "2.5", "0.75", "1e5", "2009"]
 
 
@@ -210,6 +216,37 @@ def gold_with_value(rng: random.Random, w: Writer, value: str) -> str:
     return sql
 
 
+def column_cells(table: str, name: str) -> list[str]:
+    position = TABLES[table].index(name)
+    return sorted({row[position] for row in ROWS[table]})
+
+
+def probe_literal(rng: random.Random, cell: str) -> str:
+    """A literal near `cell`: the cell itself, a case change, the cell in
+    quotes, a one-letter typo, empty, or one character."""
+    shape = rng.randrange(6)
+    if shape == 0:
+        return cell
+    if shape == 1:
+        return rng.choice((cell.lower(), cell.upper(), cell.swapcase()))
+    if shape == 2:
+        return rng.choice("'\"`") + cell + rng.choice(("'", '"', "`"))
+    if shape == 3:
+        cut = rng.randrange(len(cell))
+        return cell[:cut] + rng.choice("aeiouxyz") + cell[cut + 1:]
+    if shape == 4:
+        return ""
+    return rng.choice(cell + "xyz!")
+
+
+def verdict_item(verdict) -> list:
+    if isinstance(verdict, Matched):
+        return ["matched", verdict.raw_value]
+    if isinstance(verdict, Mismatch):
+        return ["mismatch", [[c.raw_value, repr(c.score)] for c in verdict.candidates]]
+    return ["not_applicable", verdict.reason]
+
+
 def canonical(value):
     if isinstance(value, dict):
         return {key: canonical(item) for key, item in value.items()}
@@ -238,7 +275,8 @@ def digests(seed: int, n: int) -> list[str]:
         index = build_cell_index(catalog, db)
 
     surfaces: dict[str, list] = {name: [] for name in (
-        "order_by", "components", "exact_match", "conditions", "rewrite", "replace_value")}
+        "order_by", "components", "exact_match", "conditions", "rewrite", "replace_value",
+        "candidates")}
     for sql in queries:
         surfaces["order_by"].append(has_top_level_order_by(sql))
         components = sql_components(sql)
@@ -262,6 +300,14 @@ def digests(seed: int, n: int) -> list[str]:
             surfaces["replace_value"].append([out.question, out.gold_sql])
         except NoApplicableSpan:
             surfaces["replace_value"].append(None)
+    for _ in range(n):
+        table, name = rng.choice(TEXT_COLUMNS).split(".")
+        literal = probe_literal(rng, rng.choice(column_cells(table, name)))
+        action = AddWhere(column=ColumnRef(column=name, table=rng.choice((table, None))),
+                          op="=", value=Literal(kind="text", value=literal))
+        for k in (1, 5):
+            surfaces["candidates"].append(verdict_item(check_condition(action, catalog,
+                                                                       index, k=k)))
 
     lines = []
     for name, items in surfaces.items():

@@ -49,7 +49,8 @@ DIRECTIONS = ("ASC", "DESC")
 # column references with it too
 IDENT_RE = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)?$")
 _TABLE_RE = re.compile(r"[A-Za-z_]\w*$")
-_NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+# a number literal; the detector reads text literals that spell one with it
+NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
 _CALL_RE = re.compile(r"([A-Za-z_]\w*)\s*\((.*)\)\s*(:)?\s*$")
 _LABEL_RE = re.compile(r"(left|right)\s*:\s*$")
 _AGG_RE = re.compile(r"(count|sum|avg|min|max)\s*\((.*)\)$", re.IGNORECASE)
@@ -347,7 +348,7 @@ def _parse_number(token: str):
 def _parse_scalar(token: str) -> Literal | SubqueryRef:
     if token and token[0] in "'\"":
         return Literal(kind="text", value=_parse_string(token))
-    if _NUMBER_RE.match(token):
+    if NUMBER_RE.match(token):
         return Literal(kind="number", value=_parse_number(token))
     if token.lower() == "null":
         return NULL

@@ -22,7 +22,7 @@ from .evaluation import (
     file_predictor,
     load_dataset,
     pipeline_predictor,
-    run_benchmark,
+    score_examples,
 )
 from .orchestrator import (
     AgentFailure,
@@ -190,9 +190,8 @@ def _cmd_eval(args) -> int:
     else:
         raise DatasetFormatError(f"unknown predictor {args.pred!r}; "
                                  "use 'pipeline' or 'file:<path>'")
-    report = run_benchmark(args.dataset, predictor, db_root=args.db_root,
-                           post_process=args.post_process, workers=args.workers,
-                           timeout_s=args.timeout)
+    report = score_examples(examples, predictor, post_process=args.post_process,
+                            workers=args.workers, timeout_s=args.timeout)
     print(report.format_table(), file=sys.stderr)
     _emit(report.to_json_dict())
     return 0

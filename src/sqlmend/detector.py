@@ -31,6 +31,7 @@ from .actions import (
     IDENT_RE,
     Literal,
     LiteralList,
+    NUMBER_RE,
     SelectItem,
     walk_levels,
 )
@@ -50,15 +51,7 @@ CUSTOM_RULE_VIOLATION = "CustomRuleViolation"
 EXECUTION_ERROR = "ExecutionError"
 UNRESOLVED_SUB_QUESTION = "UnresolvedSubQuestion"
 
-SCHEMA_FINDING_KINDS = (
-    UNKNOWN_TABLE, UNKNOWN_COLUMN, AMBIGUOUS_COLUMN, FOREIGN_KEY_MISMATCH,
-    JOIN_ABSENCE, JOIN_REDUNDANCY, TYPE_MISMATCH, GROUP_BY_ABSENCE,
-    GROUP_BY_IMPROPER, HAVING_WITHOUT_GROUP_BY, CUSTOM_RULE_VIOLATION,
-)
-
 NUMERIC_AFFINITIES = ("INTEGER", "REAL", "NUMERIC")
-
-_NUMERIC_TEXT_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
 
 
 class InvalidRuleConfig(Exception):
@@ -231,7 +224,7 @@ def _literal_is_numeric(literal: Literal) -> bool:
     if literal.kind == "number":
         return True
     if literal.kind == "text":
-        return bool(_NUMERIC_TEXT_RE.match(literal.value.strip()))
+        return bool(NUMBER_RE.match(literal.value.strip()))
     return False
 
 

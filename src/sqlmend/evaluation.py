@@ -441,11 +441,19 @@ def run_benchmark(dataset_path: str | Path, predictor: Callable[[EvalExample], s
                   db_root: str | Path | None = None, post_process: bool = False,
                   workers: int = 1, timeout_s: float = DEFAULT_TIMEOUT_S,
                   backend=None) -> EvalReport:
-    """Score every example; optionally run condition post-processing over
+    """Load the dataset and score every example with score_examples."""
+    examples, _root = load_dataset(dataset_path, db_root)
+    return score_examples(examples, predictor, post_process=post_process, workers=workers,
+                          timeout_s=timeout_s, backend=backend)
+
+
+def score_examples(examples: list[EvalExample], predictor: Callable[[EvalExample], str], *,
+                   post_process: bool = False, workers: int = 1,
+                   timeout_s: float = DEFAULT_TIMEOUT_S, backend=None) -> EvalReport:
+    """Score loaded examples; optionally run condition post-processing over
     the predictions first. The predictor gets these examples, so each
     database is built at most once per call.
     """
-    examples, _root = load_dataset(dataset_path, db_root)
     if post_process:  # built before scoring, so worker threads only read them
         for example in examples:
             example.db.index

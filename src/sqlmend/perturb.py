@@ -218,7 +218,7 @@ def replace_common_value(example: AnnotatedExample, catalog: SchemaCatalog,
         cells = index.column_cells(found.table.name, found.column.name)
         if cells is None or len(cells.cells) < 2:
             continue
-        candidates = sorted(raw for raw in cells.raw_values() if raw != value.literal)
+        candidates = [raw for raw in cells.cells if raw != value.literal]
         if not candidates:
             continue
         new_cell = random.Random(rng_seed).choice(candidates)

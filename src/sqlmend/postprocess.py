@@ -2,16 +2,17 @@
 predicted SQL query onto the most similar cell of its column.
 
 The extraction is a lightweight token scan, not a SQL parse, so it
-degrades gracefully on malformed predictions. Replacement is argmax by
-similarity with no minimum score by default; that forced behavior is the
-point of the baseline, and a threshold exists only as an opt-in.
+degrades gracefully on malformed predictions. Replacement is the
+retriever's top-ranked cell, with no minimum score by default; that
+forced behavior is the point of the baseline, and a threshold exists
+only as an opt-in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .retriever import TrigramBackend
+from .retriever import TrigramBackend, rank_candidates
 from .schema_catalog import CellIndex, SchemaCatalog
 from .sqllex import STRING_KINDS, Token, quote, tokenize, unquote
 
@@ -142,13 +143,11 @@ def rewrite(sql: str, catalog: SchemaCatalog, index: CellIndex, *,
         cells = index.column_cells(found.table.name, found.column.name)
         if cells is None or not cells.cells:
             continue
-        raws = cells.raw_values()
-        scores = backend.score(condition.literal, raws)
-        best_raw, best_score = min(zip(raws, scores), key=lambda p: (-p[1], p[0]))
-        if best_score < min_score:
+        best = rank_candidates(condition.literal, cells, 1, backend)[0]
+        if best.score < min_score:
             continue
         replacements.append((condition.start, condition.end,
-                             quote(best_raw, condition.quote)))
+                             quote(best.raw_value, condition.quote)))
     for start, end, text in sorted(replacements, reverse=True):
         sql = sql[:start] + text + sql[end:]
     return sql

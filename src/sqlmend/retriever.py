@@ -10,6 +10,7 @@ no model or network.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import urllib.request
@@ -62,37 +63,37 @@ class NotApplicable:
 ConditionVerdict = Union[Matched, Mismatch, NotApplicable]
 
 
-def _trigram_profile(text: str) -> Counter:
-    normalized = normalize_cell(text)
-    if not normalized:
-        return Counter()
+def _trigram_profile(normalized: str) -> Counter:
+    """Trigram counts of normalized text, padded by two spaces."""
     padded = f"  {normalized}  "
     return Counter(padded[i:i + 3] for i in range(len(padded) - 2))
 
 
-def _cosine(a: Counter, b: Counter) -> float:
-    if not a or not b:
-        return 0.0
-    dot = sum(weight * b.get(gram, 0) for gram, weight in a.items())
-    norm_a = math.sqrt(sum(w * w for w in a.values()))
-    norm_b = math.sqrt(sum(w * w for w in b.values()))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    return min(1.0, dot / (norm_a * norm_b))
+def _length(profile: Counter) -> float:
+    return math.sqrt(sum(w * w for w in profile.values()))
 
 
 class TrigramBackend:
-    """Deterministic default: trigram-profile cosine over normalized text."""
+    """Deterministic default: trigram-profile cosine over normalized text.
+    Equal normalized forms score 1.0; an empty one scores 0.0 against any
+    other."""
 
     def score(self, query: str, texts: Sequence[str]) -> list[float]:
         query_norm = normalize_cell(query)
-        query_profile = _trigram_profile(query)
+        query_profile = _trigram_profile(query_norm)
+        query_length = _length(query_profile)
         scores = []
         for text in texts:
-            if normalize_cell(text) == query_norm:
+            normalized = normalize_cell(text)
+            if normalized == query_norm:
                 scores.append(1.0)
+            elif not normalized or not query_norm:
+                scores.append(0.0)
             else:
-                scores.append(_cosine(query_profile, _trigram_profile(text)))
+                profile = _trigram_profile(normalized)
+                dot = sum(weight * profile.get(gram, 0)
+                          for gram, weight in query_profile.items())
+                scores.append(min(1.0, dot / (query_length * _length(profile))))
         return scores
 
 
@@ -174,12 +175,11 @@ def rank_candidates(literal: str, cells, k: int, backend=None) -> tuple[CellCand
     (score desc, raw asc) ordering for determinism.
     """
     backend = backend or _DEFAULT_BACKEND
-    raws = cells.raw_values()
-    scores = backend.score(literal, raws)
-    ranked = sorted(zip(raws, scores), key=lambda pair: (-pair[1], pair[0]))
+    scores = backend.score(literal, cells.cells)
+    ranked = heapq.nsmallest(k, zip(cells.cells, scores), key=lambda pair: (-pair[1], pair[0]))
     return tuple(
         CellCandidate(table=cells.table, column=cells.column, raw_value=raw, score=score)
-        for raw, score in ranked[:k]
+        for raw, score in ranked
     )
 
 
@@ -220,7 +220,7 @@ def check_condition(action: Action, catalog: SchemaCatalog, index: CellIndex, *,
     if cells is None:
         return Mismatch(candidates=())
     for literal in probes:
-        if not cells.contains_raw(literal):
+        if literal not in cells.cells:
             return Mismatch(candidates=rank_candidates(literal, cells, k, backend))
     return Matched(raw_value=probes[0])
 

@@ -15,6 +15,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
+from .sqllex import quote
+
 AFFINITIES = ("TEXT", "INTEGER", "REAL", "NUMERIC", "BOOLEAN", "DATE", "OTHER")
 
 DEFAULT_CELL_CAP = 50_000
@@ -185,26 +187,14 @@ class SchemaCatalog:
 
 
 @dataclass(frozen=True)
-class CellValue:
-    raw: str
-    normalized: str
-
-
-@dataclass(frozen=True)
 class ColumnCells:
     table: str
     column: str
-    cells: tuple[CellValue, ...]
-
-    def raw_values(self) -> tuple[str, ...]:
-        return tuple(c.raw for c in self.cells)
-
-    def contains_raw(self, value: str) -> bool:
-        return any(c.raw == value for c in self.cells)
+    cells: tuple[str, ...]  # distinct raw values, sorted
 
 
 class CellIndex:
-    """Distinct TEXT-affinity cells per (table, column), raw plus normalized."""
+    """Distinct TEXT-affinity cells per (table, column), as raw strings."""
 
     def __init__(self, columns: dict[tuple[str, str], ColumnCells]):
         self._columns = dict(columns)
@@ -239,10 +229,6 @@ def _connect_existing(db_path: str | Path) -> sqlite3.Connection:
     return connect_readonly(path)
 
 
-def _quote_ident(name: str) -> str:
-    return '"' + name.replace('"', '""') + '"'
-
-
 def load_catalog(db_path: str | Path) -> SchemaCatalog:
     """Introspect a SQLite file into a SchemaCatalog.
 
@@ -264,7 +250,7 @@ def load_catalog(db_path: str | Path) -> SchemaCatalog:
         names = [r[0] for r in rows if not r[0].startswith("sqlite_")]
         infos: dict[str, list[tuple]] = {}
         for name in names:
-            infos[name] = conn.execute(f"PRAGMA table_info({_quote_ident(name)})").fetchall()
+            infos[name] = conn.execute("PRAGMA table_info(" + quote(name, '"') + ")").fetchall()
         for name in names:
             cols = tuple(
                 ColumnInfo(name=row[1], affinity=affinity_of(row[2]), is_primary_key=row[5] > 0)
@@ -277,7 +263,7 @@ def load_catalog(db_path: str | Path) -> SchemaCatalog:
         for name in names:
             if name.lower() not in by_name:
                 continue
-            for row in conn.execute(f"PRAGMA foreign_key_list({_quote_ident(name)})"):
+            for row in conn.execute("PRAGMA foreign_key_list(" + quote(name, '"') + ")"):
                 ref_table, src_col, dst_col = row[2], row[3], row[4]
                 target = by_name.get(ref_table.lower())
                 if target is None:
@@ -313,20 +299,15 @@ def build_cell_index(catalog: SchemaCatalog, db_path: str | Path,
             for col in table.columns:
                 if col.affinity != "TEXT":
                     continue
-                sql = (
-                    f"SELECT {_quote_ident(col.name)}, COUNT(*) AS n "
-                    f"FROM {_quote_ident(table.name)} "
-                    f"WHERE {_quote_ident(col.name)} IS NOT NULL "
-                    f"GROUP BY {_quote_ident(col.name)} "
-                    f"ORDER BY n DESC, {_quote_ident(col.name)} ASC "
-                    f"LIMIT {int(cap)}"
-                )
+                col_sql, table_sql = quote(col.name, '"'), quote(table.name, '"')
+                sql = (f"SELECT {col_sql}, COUNT(*) AS n FROM {table_sql} "
+                       f"WHERE {col_sql} IS NOT NULL GROUP BY {col_sql} "
+                       f"ORDER BY n DESC, {col_sql} ASC LIMIT {int(cap)}")
                 try:
                     rows = conn.execute(sql).fetchall()
                 except sqlite3.DatabaseError as exc:
                     raise CorruptDatabase(f"{db_path}: {exc}") from exc
-                raws = sorted(v for v, _count in rows if isinstance(v, str))
-                cells = tuple(CellValue(raw=v, normalized=normalize_cell(v)) for v in raws)
+                cells = tuple(sorted(v for v, _count in rows if isinstance(v, str)))
                 columns[(table.name.lower(), col.name.lower())] = ColumnCells(
                     table=table.name, column=col.name, cells=cells
                 )

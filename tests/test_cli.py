@@ -199,6 +199,28 @@ def test_eval_pipeline_reads_the_replay_script_once(capsys, monkeypatch, toy_dat
     assert loads == [str(replay)]
 
 
+def test_eval_parses_the_dataset_once(capsys, monkeypatch, toy_dataset, tmp_path):
+    import sqlmend.cli
+    import sqlmend.evaluation
+
+    loads = []
+    load_dataset = sqlmend.evaluation.load_dataset
+
+    def counting(*args, **kwargs):
+        loads.append(args[0])
+        return load_dataset(*args, **kwargs)
+
+    for module in (sqlmend.cli, sqlmend.evaluation):
+        monkeypatch.setattr(module, "load_dataset", counting)
+    preds = tmp_path / "gold.sql"
+    preds.write_text("\n".join(e["gold_sql"] for e in json.loads(toy_dataset.read_text())))
+    code, out, _err = run_cli(capsys, "eval", str(toy_dataset), "--pred", f"file:{preds}",
+                              "--post-process")
+    assert code == 0
+    assert json.loads(out)["aggregates"]["ex_rate"] == 1.0
+    assert loads == [str(toy_dataset)]
+
+
 def test_eval_pipeline_predictor(capsys, toy_dataset, tmp_path):
     examples = json.loads(toy_dataset.read_text())
     script = {e["question"]: ["add_select(*)\nadd_from(show)"] for e in examples}

@@ -108,7 +108,7 @@ def test_replace_common_value(annotated, episode_catalog, episode_index):
     [value] = out.value_spans
     new_cell = value.literal
     assert new_cell != "A Love of a Lifetime"
-    assert new_cell in episode_index.column_cells("episode", "title").raw_values()
+    assert new_cell in episode_index.column_cells("episode", "title").cells
     assert out.question == QUESTION.replace('"A Love of a Lifetime"', new_cell)
     assert out.gold_sql == GOLD.replace("A Love of a Lifetime", new_cell)
 

@@ -74,7 +74,7 @@ def test_rewrite_replacement_is_a_real_cell(episode_catalog, episode_index):
     sql = "SELECT id FROM episode WHERE title = 'revnge of broken jaw'"
     fixed = rewrite(sql, episode_catalog, episode_index)
     [cond] = extract_conditions(fixed)
-    assert cond.literal in episode_index.column_cells("episode", "title").raw_values()
+    assert cond.literal in episode_index.column_cells("episode", "title").cells
 
 
 def test_rewrite_numeric_column_untouched(episode_catalog, episode_index):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,7 @@ from sqlmend.retriever import (
     rank_candidates,
     similarity,
 )
+from sqlmend.schema_catalog import ColumnCells, normalize_cell
 
 
 def where(column: str, op: str, value) -> AddWhere:
@@ -155,6 +159,49 @@ def test_rank_candidates_tie_break_is_raw_ascending(episode_index):
     cells = episode_index.column_cells("network", "name")
     ranked = rank_candidates("zzz", cells, k=5)
     assert [c.raw_value for c in ranked] == ["ABC", "Fox"]  # both score 0.0
+
+
+def _oracle_profile(text: str) -> Counter:
+    normalized = normalize_cell(text)
+    if not normalized:
+        return Counter()
+    padded = f"  {normalized}  "
+    return Counter(padded[i:i + 3] for i in range(len(padded) - 2))
+
+
+def _oracle_cosine(a: Counter, b: Counter) -> float:
+    if not a or not b:
+        return 0.0
+    dot = sum(weight * b.get(gram, 0) for gram, weight in a.items())
+    norm_a = math.sqrt(sum(w * w for w in a.values()))
+    norm_b = math.sqrt(sum(w * w for w in b.values()))
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    return min(1.0, dot / (norm_a * norm_b))
+
+
+def oracle_rank(literal: str, raws, k: int) -> list[tuple[str, float]]:
+    """Brute force: normalize each text inside its own profile and again
+    for the equality check, score every cell, sort, cut at k."""
+    query_norm = normalize_cell(literal)
+    query_profile = _oracle_profile(literal)
+    scored = [(raw, 1.0 if normalize_cell(raw) == query_norm
+               else _oracle_cosine(query_profile, _oracle_profile(raw))) for raw in raws]
+    return sorted(scored, key=lambda pair: (-pair[1], pair[0]))[:k]
+
+
+_TEXTS = st.one_of(
+    st.text(alphabet="aAbBcC '\"!-.", max_size=8),
+    st.sampled_from(["!!!", "", "  ", "'Ab c'", '"ab C"', "`abc`", "ab-c", "AB C"]),
+)
+
+
+@given(st.lists(_TEXTS, unique=True, max_size=12), _TEXTS, st.integers(0, 6))
+@settings(max_examples=400)
+def test_rank_candidates_equals_brute_force_oracle(raws, literal, k):
+    cells = ColumnCells(table="t", column="v", cells=tuple(sorted(raws)))
+    ranked = rank_candidates(literal, cells, k)
+    assert [(c.raw_value, c.score) for c in ranked] == oracle_rank(literal, cells.cells, k)
 
 
 def test_inspect_sequence_no_conditions(episode_catalog, episode_index):

@@ -20,7 +20,7 @@ from sqlmend.perturb import (
     replace_common_value,
 )
 from sqlmend.postprocess import rewrite
-from sqlmend.retriever import inspect_sequence
+from sqlmend.retriever import inspect_sequence, rank_candidates
 from sqlmend.schema_catalog import (
     CorruptDatabase,
     Database,
@@ -99,7 +99,7 @@ def test_readonly_opens_keep_uri_characters_in_the_path(tmp_path):
 
     catalog = load_catalog(db)
     assert [t.name for t in catalog.tables] == ["t"]
-    assert build_cell_index(catalog, db).column_cells("t", "v").raw_values() == ("a",)
+    assert build_cell_index(catalog, db).column_cells("t", "v").cells == ("a",)
     assert execute_sql(db, "SELECT v FROM t") == [("a",)]
     assert detect_via_dbms(parse_actions("add_select(v)\nadd_from(t)").sequence, db) == []
     assert sorted(tmp_path.rglob("*")) == before
@@ -221,7 +221,7 @@ def test_index_distinct_and_null_exclusion(tmp_db):
     catalog = load_catalog(db)
     index = build_cell_index(catalog, db)
     cells = index.column_cells("t", "written_by")
-    assert cells.raw_values() == ("Todd Casey",)
+    assert cells.cells == ("Todd Casey",)
     assert index.column_cells("t", "n") is None
 
 
@@ -236,18 +236,19 @@ def test_index_covers_exactly_text_columns(episode_catalog, episode_index):
 
 
 def test_index_normalization_applied(tmp_db):
-    db = tmp_db("CREATE TABLE t (v TEXT);", {"t": [('"A Love of a Lifetime"',)]})
+    db = tmp_db("CREATE TABLE t (v TEXT);",
+                {"t": [('"A Love of a Lifetime"',), ("A Lifetime",), ("Love",)]})
     catalog = load_catalog(db)
     cells = build_cell_index(catalog, db).column_cells("t", "v")
-    assert cells.cells[0].normalized == "a love of a lifetime"
+    top = rank_candidates("a love of a lifetime", cells, 3)[0]
+    assert (top.raw_value, top.score) == ('"A Love of a Lifetime"', 1.0)
 
 
 def test_index_raw_count_at_least_normalized_count(episode_index):
     for table, column in episode_index.columns():
-        cells = episode_index.column_cells(table, column)
-        raws = {c.raw for c in cells.cells}
-        norms = {c.normalized for c in cells.cells}
-        assert len(raws) >= len(norms)
+        cells = episode_index.column_cells(table, column).cells
+        assert all(isinstance(cell, str) for cell in cells)
+        assert list(cells) == sorted(set(cells))
 
 
 def test_index_cap_keeps_most_frequent(tmp_db):
@@ -255,7 +256,7 @@ def test_index_cap_keeps_most_frequent(tmp_db):
     db = tmp_db("CREATE TABLE t (v TEXT);", {"t": rows})
     catalog = load_catalog(db)
     cells = build_cell_index(catalog, db, cap=2).column_cells("t", "v")
-    assert set(cells.raw_values()) == {"common", "middling"}
+    assert set(cells.cells) == {"common", "middling"}
 
 
 def test_catalog_json_export_is_stable(episode_catalog):
