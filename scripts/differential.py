@@ -14,6 +14,15 @@ one SHA-256 per surface:
   replace_value replace_common_value over a gold query carrying a cell
   candidates    check_condition verdicts on the TEXT columns at k = 1 and
                 k = 5, candidate raws and repr(score) included
+  findings      detect over seeded action-DSL drafts, with one constraint
+                rule of each kind, with and without allow_name_equijoin;
+                parse errors included
+  verdicts      inspect_sequence over the same drafts at k = 0 and k = 3,
+                through verdict_to_json
+  assemble      assemble over the same drafts: the SQL, or the
+                AssemblyError's type and message
+  refine        the trace JSON of run with a ScriptedAgent that replays the
+                draft and up to two more, sub-questions included
 
 Two checkouts that print the same lines for a seed agree on all of them.
 The script uses only long-standing public names, so it can score another
@@ -22,10 +31,12 @@ checkout's package:
     python scripts/differential.py --seed 1 --n 6000
     PYTHONPATH=/path/to/other/src python scripts/differential.py --seed 1 --n 6000
 
-The default family has terminated quotes and no comments, no bracket or
-backtick identifiers, no keyword, paren or quote of the other style
+The default SQL family has terminated quotes and no comments, no bracket
+or backtick identifiers, no keyword, paren or quote of the other style
 inside a literal, and no gold query that carries the replaced value
-twice; the tests pin those cases one by one.
+twice; the tests pin those cases one by one. The drafts draw values that
+fit their operator, so most of them parse; a few carry a malformed line,
+a duplicate clause, shuffled clauses, a merge, or a sub-question.
 """
 
 from __future__ import annotations
@@ -45,12 +56,15 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from conftest import EPISODE_DDL, EPISODE_ROWS, NETWORK_ROWS, PAIRING_ROWS, make_db  # noqa: E402
 
-from sqlmend.actions import AddWhere, ColumnRef, Literal  # noqa: E402
+from sqlmend.actions import AddWhere, ColumnRef, Literal, parse_actions, quote_string  # noqa: E402
+from sqlmend.assembler import AssemblyError, assemble  # noqa: E402
+from sqlmend.detector import detect, load_rules  # noqa: E402
 from sqlmend.evaluation import exact_match, has_top_level_order_by, sql_components  # noqa: E402
+from sqlmend.orchestrator import RefinementConfig, ScriptedAgent, run, verdict_to_json  # noqa: E402
 from sqlmend.perturb import AnnotatedExample, NoApplicableSpan, Span, ValueSpan  # noqa: E402
 from sqlmend.perturb import replace_common_value  # noqa: E402
 from sqlmend.postprocess import extract_conditions, rewrite  # noqa: E402
-from sqlmend.retriever import Matched, Mismatch, check_condition  # noqa: E402
+from sqlmend.retriever import Matched, Mismatch, check_condition, inspect_sequence  # noqa: E402
 from sqlmend.schema_catalog import build_cell_index, load_catalog  # noqa: E402
 
 TABLES = {
@@ -239,6 +253,167 @@ def probe_literal(rng: random.Random, cell: str) -> str:
     return rng.choice(cell + "xyz!")
 
 
+RULES = [
+    {"rule_id": "air_date_guard", "kind": "require_null_filter",
+     "params": {"column": "episode.air_date"}},
+    {"rule_id": "title_case", "kind": "value_format",
+     "params": {"column": "title", "pattern": "[A-Z].*"}},
+]
+JOINS = ["join(pairing.episode_id, episode.id)", "join(episode.id, pairing.episode_id)",
+         "join(episode.id, pairing.id)", "join(network.id, pairing.episode_id)",
+         "join(episode.id, t1.a)", "join(episode.nosuch, pairing.id)"]
+AGGREGATES = ["COUNT", "SUM", "AVG", "MIN", "MAX"]
+SUB_QUESTIONS = ["which episodes aired first", "who wrote the firefly"]
+MALFORMED = ["add_where(title, ~, 1)", "add_select()", "add_limit(-1)",
+             "add_frobnicate(x)", "add_where(title, IN, \"x\")"]
+
+
+class DraftWriter:
+    """Writes action-DSL drafts over the episode fixture, the way an agent
+    would: mostly well-formed, with scope, type, grouping and rule
+    mistakes mixed in."""
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+
+    def column(self, tables: list[str]) -> str:
+        rng = self.rng
+        table = rng.choice(tables) if rng.random() < 0.85 else rng.choice(sorted(TABLES))
+        name = rng.choice(TABLES[table]) if rng.random() < 0.93 else "nosuch"
+        return f"{table}.{name}" if rng.random() < 0.4 else name
+
+    def item(self, tables: list[str]) -> str:
+        rng = self.rng
+        shape = rng.randrange(8)
+        if shape == 0:
+            return "*"
+        if shape == 1:
+            return "COUNT(*)"
+        if shape == 2:
+            return f"DISTINCT {self.column(tables)}"
+        if shape == 3:
+            distinct = "DISTINCT " if rng.random() < 0.3 else ""
+            return f"{rng.choice(AGGREGATES)}({distinct}{self.column(tables)})"
+        return self.column(tables)
+
+    def text(self) -> str:
+        rng = self.rng
+        if rng.random() < 0.1:
+            return quote_string(rng.choice(NUMBERS))
+        value = rng.choice(CELLS)
+        shape = rng.randrange(5)
+        if shape == 1:
+            value = value.lower()
+        elif shape == 2 and len(value) > 2:
+            cut = rng.randrange(len(value))
+            value = value[:cut] + value[cut + 1:]
+        return quote_string(value)
+
+    def scalar(self) -> str:
+        rng = self.rng
+        shape = rng.randrange(10)
+        if shape <= 5:
+            return self.text()
+        if shape <= 7:
+            return rng.choice(NUMBERS)
+        return rng.choice(("NULL", "title", "episode.id"))
+
+    def value(self, op: str, ref: str | None) -> str:
+        rng = self.rng
+        if ref is not None and op in ("=", "!=", "IN", "NOT IN") and rng.random() < 0.3:
+            return ref
+        if op == "BETWEEN":
+            pair = (rng.choice(NUMBERS), rng.choice(NUMBERS)) if rng.random() < 0.6 \
+                else (self.text(), self.text())
+            return f"({pair[0]}, {pair[1]})"
+        if op in ("IN", "NOT IN"):
+            return "(" + ", ".join(self.scalar() for _ in range(rng.randint(1, 3))) + ")"
+        if op == "LIKE":
+            literal = self.text()
+            return literal[:-1] + rng.choice(("%", "_", "")) + literal[-1]
+        if op in ("<", ">="):
+            return rng.choice(NUMBERS) if rng.random() < 0.6 else self.text()
+        return self.scalar()
+
+    def condition(self, tables: list[str], ref: str | None) -> str:
+        rng = self.rng
+        op = rng.choice(("=", "=", "=", "!=", "<", ">=", "LIKE", "IN", "NOT IN", "BETWEEN"))
+        if rng.random() < 0.75:
+            return f"add_where({self.column(tables)}, {op}, {self.value(op, ref)})"
+        op = rng.choice(("=", "!=", "<", ">="))
+        return f"add_having({self.item(tables)}, {op}, {self.value(op, ref)})"
+
+    def level(self, level_id: str, depth: int) -> list[str]:
+        """The lines of one level, its children indented under it."""
+        rng = self.rng
+        if depth < 2 and rng.random() < 0.08:
+            lines = [f"add_merge({rng.choice(('UNION', 'INTERSECT', 'EXCEPT'))}):"]
+            for label in ("left", "right"):
+                lines.append(f"    {label}:")
+                lines += ["        " + line
+                          for line in self.level(f"{level_id}.0.{label}", depth + 1)]
+            if rng.random() < 0.3:
+                lines.append(f"add_order_by({self.item(['episode'])}, DESC)")
+            return lines
+        tables = rng.sample(["episode", "pairing", "network"], rng.choice((1, 1, 1, 2, 2, 3)))
+        if rng.random() < 0.05:
+            tables.append("t1")
+        joins = [rng.choice(JOINS) for _ in range(rng.choice((0, 0, 1, 1, 2)))]
+        qa = depth < 2 and rng.random() < 0.15
+        # the qa action goes last, so a reference can name its position
+        ref = None
+        if qa or rng.random() < 0.05:
+            ref = rng.choice((f"@{level_id}", f"@{level_id}.9.qa", "@s.0.qa"))
+        actions = []
+        if rng.random() < 0.95:
+            actions.append("add_select(" + ", ".join(
+                self.item(tables) for _ in range(rng.randint(1, 3))) + ")")
+        if rng.random() < 0.95:
+            actions.append("add_from(" + ", ".join(tables + joins) + ")")
+        actions += [self.condition(tables, ref) for _ in range(rng.choice((0, 1, 1, 2, 3)))]
+        if rng.random() < 0.3:
+            actions.append("add_group_by(" + ", ".join(
+                self.column(tables) for _ in range(rng.randint(1, 2))) + ")")
+        if rng.random() < 0.3:
+            direction = rng.choice(("", ", ASC", ", DESC"))
+            actions.append(f"add_order_by({self.item(tables)}{direction})")
+        if rng.random() < 0.15:
+            actions.append(f"add_limit({rng.randrange(20)})")
+        if actions and rng.random() < 0.1:
+            actions.append(rng.choice(actions))
+        if rng.random() < 0.15:
+            rng.shuffle(actions)
+        if rng.random() < 0.05:
+            actions.insert(rng.randrange(len(actions) + 1), rng.choice(MALFORMED))
+        if qa:
+            position = len(actions)
+            actions = [line.replace(f"@{level_id}.9.qa", f"@{level_id}.{position}.qa")
+                       for line in actions]
+            question = quote_string(rng.choice(SUB_QUESTIONS))
+            if rng.random() < 0.6:
+                actions.append(f"qa({question}):")
+                actions += ["    " + line
+                            for line in self.level(f"{level_id}.{position}.qa", depth + 1)]
+            else:
+                actions.append(f"qa({question})")
+        return actions
+
+    def simple(self) -> str:
+        """A one-table draft with one text condition, often approvable."""
+        rng = self.rng
+        table, name = rng.choice(TEXT_COLUMNS).split(".")
+        literal = rng.choice(column_cells(table, name))
+        if rng.random() < 0.5:
+            literal = probe_literal(rng, literal)
+        return "\n".join((f"add_select({rng.choice(TABLES[table])})", f"add_from({table})",
+                          f"add_where({name}, =, {quote_string(literal)})"))
+
+    def draft(self) -> str:
+        if self.rng.random() < 0.3:
+            return self.simple()
+        return "\n".join(self.level("s", 0))
+
+
 def verdict_item(verdict) -> list:
     if isinstance(verdict, Matched):
         return ["matched", verdict.raw_value]
@@ -276,7 +451,7 @@ def digests(seed: int, n: int) -> list[str]:
 
     surfaces: dict[str, list] = {name: [] for name in (
         "order_by", "components", "exact_match", "conditions", "rewrite", "replace_value",
-        "candidates")}
+        "candidates", "findings", "verdicts", "assemble", "refine")}
     for sql in queries:
         surfaces["order_by"].append(has_top_level_order_by(sql))
         components = sql_components(sql)
@@ -308,6 +483,31 @@ def digests(seed: int, n: int) -> list[str]:
         for k in (1, 5):
             surfaces["candidates"].append(verdict_item(check_condition(action, catalog,
                                                                        index, k=k)))
+    rules = load_rules(RULES)
+    writer = DraftWriter(rng)
+    for i in range(n):
+        draft = writer.draft()
+        parsed = parse_actions(draft)
+        seq = parsed.sequence
+        errors = [[e.line, e.reason] for e in parsed.errors]
+        for allow in (False, True):
+            found = detect(seq, catalog, rules, allow_name_equijoin=allow)
+            surfaces["findings"].append([errors, [f.to_json_dict() for f in found]])
+        for k in (0, 3):
+            surfaces["verdicts"].append([[list(path), verdict_to_json(verdict)] for path, verdict
+                                         in inspect_sequence(seq, catalog, index, k=k)])
+        try:
+            surfaces["assemble"].append(assemble(seq))
+        except AssemblyError as exc:
+            surfaces["assemble"].append([type(exc).__name__, str(exc)])
+        question = f"question {i}"
+        script = {question: [draft] + [writer.draft() for _ in range(rng.randrange(3))]}
+        for sub_question in SUB_QUESTIONS:
+            if rng.random() < 0.5:
+                script[sub_question] = writer.draft()
+        config = RefinementConfig(max_iterations=rng.randrange(4), candidate_k=rng.choice((0, 3)))
+        trace = run(question, catalog, index, rules, ScriptedAgent(script), config)
+        surfaces["refine"].append(trace.to_json_dict())
 
     lines = []
     for name, items in surfaces.items():
