@@ -109,6 +109,10 @@ class SelectItem:
     aggregate: str | None = None
     distinct: bool = False
 
+    def column_ref(self) -> ColumnRef | None:
+        """The column the item reads; None for ``*``."""
+        return None if self.expression == "*" else ColumnRef.parse(self.expression)
+
 
 @dataclass(frozen=True)
 class JoinSpec:
@@ -196,6 +200,23 @@ class ActionSequence:
             if isinstance(action, kind):
                 return action
         return None
+
+
+def condition_column(action: Action) -> ColumnRef | None:
+    """The plain column a condition compares: an add_where's, or a
+    non-aggregate add_having's. None for any other action."""
+    if isinstance(action, AddWhere):
+        return action.column
+    if isinstance(action, AddHaving) and action.lhs.aggregate is None:
+        return action.lhs.column_ref()
+    return None
+
+
+def value_literals(value: Value) -> tuple[Literal, ...]:
+    """The literals a condition value holds; none for an ``@id`` reference."""
+    if isinstance(value, LiteralList):
+        return value.items
+    return (value,) if isinstance(value, Literal) else ()
 
 
 def _child_sequences(action: Action) -> tuple[tuple[str, ActionSequence], ...]:

@@ -221,13 +221,6 @@ def assemble(seq: ActionSequence, plan: ConnectivePlan | None = None) -> str:
     return assembler.level_sql(seq, plan or ConnectivePlan())
 
 
-def condition_counts(seq: ActionSequence) -> tuple[int, int]:
-    """Top-level (where, having) condition counts."""
-    wheres = sum(1 for a in seq.actions if isinstance(a, AddWhere))
-    havings = sum(1 for a in seq.actions if isinstance(a, AddHaving))
-    return wheres, havings
-
-
 CONNECTIVE_INSTRUCTION = (
     "Choose the logical connectives (AND or OR) that join the listed SQL "
     "conditions so the query answers the question. Reply with one word per "
@@ -243,14 +236,13 @@ def predict_connectives(seq: ActionSequence, question: str, agent) -> Connective
     """
     from .orchestrator import AgentContext, AgentFailure
 
-    n_where, n_having = condition_counts(seq)
-    gaps_where = max(0, n_where - 1)
-    gaps_having = max(0, n_having - 1)
+    conditions = [f"{a.column.text()} {a.op}" for a in seq.actions if isinstance(a, AddWhere)]
+    gaps_where = max(0, len(conditions) - 1)
+    gaps_having = max(0, sum(isinstance(a, AddHaving) for a in seq.actions) - 1)
     total = gaps_where + gaps_having
     if total == 0:
         return ConnectivePlan()
 
-    conditions = [f"{a.column.text()} {a.op}" for a in seq.actions if isinstance(a, AddWhere)]
     context = AgentContext(
         instruction=CONNECTIVE_INSTRUCTION,
         demonstrations=(),

@@ -85,7 +85,7 @@ def _refinement_config(args, config_file: dict) -> RefinementConfig:
 
     return RefinementConfig(
         max_iterations=pick(args.max_iter, "max_iterations", 3),
-        candidate_k=pick(getattr(args, "k", None), "candidate_k", 5),
+        candidate_k=config_file.get("candidate_k", 5),
         use_retriever=not args.no_retriever,
         use_detector=not args.no_detector,
         dbms_feedback=args.dbms_feedback,

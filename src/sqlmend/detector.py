@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Callable
 
 from .actions import (
+    Action,
     ActionSequence,
     AddFrom,
     AddGroupBy,
@@ -30,9 +31,10 @@ from .actions import (
     ColumnRef,
     IDENT_RE,
     Literal,
-    LiteralList,
     NUMBER_RE,
     SelectItem,
+    condition_column,
+    value_literals,
     walk_levels,
 )
 from .schema_catalog import Resolution, SchemaCatalog, connect_readonly
@@ -142,40 +144,38 @@ def load_rules(source) -> list[ConstraintRule]:
 class _ColumnUse:
     ref: ColumnRef
     path: tuple
-    context: str  # "select" | "where" | "group_by" | "having" | "order_by"
+    action: Action
     aggregate: str | None = None
 
 
-def _item_column(item: SelectItem) -> ColumnRef | None:
-    return None if item.expression == "*" else ColumnRef.parse(item.expression)
+_Kinds = dict[type, list[tuple[tuple, Action]]]
 
 
-def _collect_uses(level: ActionSequence, prefix: tuple) -> list[_ColumnUse]:
+def _collect_uses(level: ActionSequence, prefix: tuple) -> tuple[list[_ColumnUse], _Kinds]:
+    """The one read of a level: every column use in document order, and
+    each action kind's (path, action) pairs in document order."""
     uses: list[_ColumnUse] = []
+    kinds: _Kinds = {}
     for i, action in enumerate(level.actions):
         path = prefix + (i,)
-        if isinstance(action, AddSelect):
-            for item in action.items:
-                ref = _item_column(item)
-                if ref is not None:
-                    uses.append(_ColumnUse(ref=ref, path=path, context="select",
-                                           aggregate=item.aggregate))
-        elif isinstance(action, AddWhere):
-            uses.append(_ColumnUse(ref=action.column, path=path, context="where"))
+        kinds.setdefault(type(action), []).append((path, action))
+        items: tuple[SelectItem, ...] = ()
+        if isinstance(action, AddWhere):
+            uses.append(_ColumnUse(ref=action.column, path=path, action=action))
         elif isinstance(action, AddGroupBy):
-            for ref in action.columns:
-                uses.append(_ColumnUse(ref=ref, path=path, context="group_by"))
+            uses.extend(_ColumnUse(ref=ref, path=path, action=action) for ref in action.columns)
+        elif isinstance(action, AddSelect):
+            items = action.items
         elif isinstance(action, AddHaving):
-            ref = _item_column(action.lhs)
-            if ref is not None:
-                uses.append(_ColumnUse(ref=ref, path=path, context="having",
-                                       aggregate=action.lhs.aggregate))
+            items = (action.lhs,)
         elif isinstance(action, AddOrderBy):
-            ref = _item_column(action.expression)
+            items = (action.expression,)
+        for item in items:
+            ref = item.column_ref()
             if ref is not None:
-                uses.append(_ColumnUse(ref=ref, path=path, context="order_by",
-                                       aggregate=action.expression.aggregate))
-    return uses
+                uses.append(_ColumnUse(ref=ref, path=path, action=action,
+                                       aggregate=item.aggregate))
+    return uses, kinds
 
 
 # the detector binds a column that only a table outside add_from owns, so
@@ -228,14 +228,6 @@ def _literal_is_numeric(literal: Literal) -> bool:
     return False
 
 
-def _scalar_literals(value) -> list[Literal]:
-    if isinstance(value, Literal):
-        return [value]
-    if isinstance(value, LiteralList):
-        return list(value.items)
-    return []
-
-
 # ---------------------------------------------------------------------------
 # The detector proper
 # ---------------------------------------------------------------------------
@@ -269,9 +261,10 @@ def _detect_level(level: ActionSequence, prefix: tuple, catalog: SchemaCatalog,
         findings.append(DetectorFinding(kind=kind, action_path=path, detail=detail,
                                         machine_data=data))
 
-    from_action = level.first(AddFrom)
-    from_index = next((i for i, a in enumerate(level.actions) if isinstance(a, AddFrom)), None)
-    from_path = prefix + (from_index,) if from_index is not None else None
+    uses, kinds = _collect_uses(level, prefix)
+    # the first action of each kind is the one the clause takes
+    first = {kind: pairs[0] for kind, pairs in kinds.items()}
+    from_path, from_action = first.get(AddFrom, (None, None))
     from_tables = list(from_action.tables) if from_action else []
     joins = list(from_action.joins) if from_action else []
 
@@ -279,7 +272,6 @@ def _detect_level(level: ActionSequence, prefix: tuple, catalog: SchemaCatalog,
     for t in from_tables:
         if catalog.table(t) is None:
             emit(UNKNOWN_TABLE, from_path, f"table {t!r} does not exist", table=t)
-    uses = _collect_uses(level, prefix)
     for use in uses:
         if use.ref.table is not None and catalog.table(use.ref.table) is None:
             emit(UNKNOWN_TABLE, use.path, f"table {use.ref.table!r} does not exist",
@@ -350,8 +342,7 @@ def _detect_level(level: ActionSequence, prefix: tuple, catalog: SchemaCatalog,
     # a level that selects * implicitly uses every FROM table, and one with
     # unresolved columns gives no sound basis for a redundancy claim
     star_used = any(item.expression == "*"
-                    for action in level.actions if isinstance(action, AddSelect)
-                    for item in action.items)
+                    for _path, action in kinds.get(AddSelect, ()) for item in action.items)
     if not star_used and not resolution_failed:
         graph = _fk_graph(catalog)
         payload_list = sorted(payload_tables)
@@ -368,30 +359,21 @@ def _detect_level(level: ActionSequence, prefix: tuple, catalog: SchemaCatalog,
                  f"table {t!r} contributes no columns and bridges no referenced tables",
                  table=t)
 
-    # (e) type consistency
-    for i, action in enumerate(level.actions):
-        path = prefix + (i,)
-        if isinstance(action, (AddWhere, AddHaving)):
-            if isinstance(action, AddWhere):
-                ref, aggregate = action.column, None
-            else:
-                ref, aggregate = _item_column(action.lhs), action.lhs.aggregate
-            if ref is None or aggregate is not None:
-                continue
-            found = resolve(ref)
-            if found.status not in _BOUND:
-                continue
-            column = found.column
-            for literal in _scalar_literals(action.value):
-                if column.affinity == "TEXT" and literal.kind == "number":
-                    emit(TYPE_MISMATCH, path,
-                         f"text column {ref.text()!r} compared to numeric literal {literal.value!r}",
-                         column=ref.text(), literal=str(literal.value))
-                elif column.affinity in NUMERIC_AFFINITIES and literal.kind == "text" \
-                        and not _literal_is_numeric(literal):
-                    emit(TYPE_MISMATCH, path,
-                         f"numeric column {ref.text()!r} compared to non-numeric text {literal.value!r}",
-                         column=ref.text(), literal=literal.value)
+    # (e) type consistency of plain-column conditions, then of aggregates
+    for use, _table, column in resolved_uses:
+        if condition_column(use.action) is None:
+            continue
+        ref = use.ref
+        for literal in value_literals(use.action.value):
+            if column.affinity == "TEXT" and literal.kind == "number":
+                emit(TYPE_MISMATCH, use.path,
+                     f"text column {ref.text()!r} compared to numeric literal {literal.value!r}",
+                     column=ref.text(), literal=str(literal.value))
+            elif column.affinity in NUMERIC_AFFINITIES and literal.kind == "text" \
+                    and not _literal_is_numeric(literal):
+                emit(TYPE_MISMATCH, use.path,
+                     f"numeric column {ref.text()!r} compared to non-numeric text {literal.value!r}",
+                     column=ref.text(), literal=literal.value)
     for use, _table, column in resolved_uses:
         if use.aggregate in ("SUM", "AVG") and column.affinity == "TEXT":
             emit(TYPE_MISMATCH, use.path,
@@ -399,34 +381,32 @@ def _detect_level(level: ActionSequence, prefix: tuple, catalog: SchemaCatalog,
                  column=use.ref.text(), aggregate=use.aggregate)
 
     # (f) group-by usage
-    select = level.first(AddSelect)
-    group_by = level.first(AddGroupBy)
-    select_index = next((i for i, a in enumerate(level.actions) if isinstance(a, AddSelect)), None)
+    select_path, select = first.get(AddSelect, (None, None))
+    group_path, group_by = first.get(AddGroupBy, (None, None))
     if select is not None:
         bare = [item for item in select.items if item.aggregate is None]
         aggregated = [item for item in select.items if item.aggregate is not None]
         if bare and aggregated and group_by is None:
-            emit(GROUP_BY_ABSENCE, prefix + (select_index,),
+            emit(GROUP_BY_ABSENCE, select_path,
                  "select mixes aggregated and bare columns without add_group_by",
                  bare=[i.expression for i in bare])
         if group_by is not None:
             grouped = {_group_key(resolve, c) for c in group_by.columns}
-            group_index = next(i for i, a in enumerate(level.actions) if isinstance(a, AddGroupBy))
             for item in bare:
-                ref = _item_column(item)
+                ref = item.column_ref()
                 key = _group_key(resolve, ref) if ref is not None else item.expression
                 if key not in grouped:
-                    emit(GROUP_BY_IMPROPER, prefix + (group_index,),
+                    emit(GROUP_BY_IMPROPER, group_path,
                          f"selected column {item.expression!r} is missing from add_group_by",
                          column=item.expression)
-    for i, action in enumerate(level.actions):
-        if isinstance(action, AddHaving) and group_by is None:
-            emit(HAVING_WITHOUT_GROUP_BY, prefix + (i,),
+    if group_by is None:
+        for path, action in kinds.get(AddHaving, ()):
+            emit(HAVING_WITHOUT_GROUP_BY, path,
                  "add_having without add_group_by", lhs=_having_text(action))
 
     # (g) user-defined constraint rules
     for rule in rules:
-        for finding in _evaluate_rule_level(rule, level, prefix, resolve):
+        for finding in _evaluate_rule_level(rule, uses, resolve):
             emit(finding.kind, finding.action_path, finding.detail, **finding.machine_data)
 
 
@@ -461,24 +441,22 @@ def _rule_matches(rule: ConstraintRule, resolve: _Resolve, ref: ColumnRef | None
     return found.table.name.lower() == rule.column.table.lower()
 
 
-def _evaluate_rule_level(rule: ConstraintRule, level: ActionSequence, prefix: tuple,
+def _evaluate_rule_level(rule: ConstraintRule, uses: list[_ColumnUse],
                          resolve: _Resolve) -> list[DetectorFinding]:
     findings: list[DetectorFinding] = []
     if rule.kind == "require_null_filter":
         references: list[tuple] = []
         guarded = False
-        for i, action in enumerate(level.actions):
-            path = prefix + (i,)
-            if isinstance(action, AddSelect):
-                for item in action.items:
-                    if _rule_matches(rule, resolve, _item_column(item)):
-                        references.append(path)
-            elif isinstance(action, AddWhere) and _rule_matches(rule, resolve, action.column):
-                value = action.value
-                if action.op == "!=" and isinstance(value, Literal) and value.kind == "null":
-                    guarded = True
-                else:
-                    references.append(path)
+        for use in uses:
+            action = use.action
+            if not isinstance(action, (AddSelect, AddWhere)) \
+                    or not _rule_matches(rule, resolve, use.ref):
+                continue
+            if isinstance(action, AddWhere) and action.op == "!=" \
+                    and isinstance(action.value, Literal) and action.value.kind == "null":
+                guarded = True
+            else:
+                references.append(use.path)
         if references and not guarded:
             findings.append(DetectorFinding(
                 kind=CUSTOM_RULE_VIOLATION, action_path=references[0],
@@ -486,17 +464,14 @@ def _evaluate_rule_level(rule: ConstraintRule, level: ActionSequence, prefix: tu
                 machine_data={"rule_id": rule.rule_id, "column": rule.column.text()}))
     elif rule.kind == "value_format":
         pattern = re.compile(rule.pattern)
-        for i, action in enumerate(level.actions):
-            path = prefix + (i,)
-            if not isinstance(action, (AddWhere, AddHaving)):
+        for use in uses:
+            if not isinstance(use.action, (AddWhere, AddHaving)) \
+                    or not _rule_matches(rule, resolve, use.ref):
                 continue
-            ref = action.column if isinstance(action, AddWhere) else _item_column(action.lhs)
-            if not _rule_matches(rule, resolve, ref):
-                continue
-            for literal in _scalar_literals(action.value):
+            for literal in value_literals(use.action.value):
                 if literal.kind == "text" and not pattern.fullmatch(literal.value):
                     findings.append(DetectorFinding(
-                        kind=CUSTOM_RULE_VIOLATION, action_path=path,
+                        kind=CUSTOM_RULE_VIOLATION, action_path=use.path,
                         detail=(f"rule {rule.rule_id!r}: literal {literal.value!r} does not match "
                                 f"format {rule.pattern!r}"),
                         machine_data={"rule_id": rule.rule_id, "literal": literal.value,

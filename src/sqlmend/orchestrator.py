@@ -407,9 +407,6 @@ class RefinementConfig:
     use_retriever: bool = True
     use_detector: bool = True
     dbms_feedback: bool = False
-    qa_depth: int = 2
-    allow_name_equijoin: bool = False
-    instruction: str = DEFAULT_INSTRUCTION
 
     def __post_init__(self):
         if not isinstance(self.max_iterations, int) or not 0 <= self.max_iterations <= 10:
@@ -447,9 +444,8 @@ def _fallback_conditionals(final: ActionSequence, initial: ActionSequence) -> Ac
     insert_at = next((i for i, a in enumerate(final.actions)
                       if isinstance(a, CONDITIONAL_KINDS)), len(final.actions))
     kept = [a for a in final.actions if not isinstance(a, CONDITIONAL_KINDS)]
-    kept_before = sum(1 for a in final.actions[:insert_at]
-                      if not isinstance(a, CONDITIONAL_KINDS))
-    actions = kept[:kept_before] + initial_conditionals + kept[kept_before:]
+    # everything before the first conditional is kept, so it ends at insert_at
+    actions = kept[:insert_at] + initial_conditionals + kept[insert_at:]
     return assign_sequence_ids(ActionSequence(actions=actions))
 
 
@@ -463,8 +459,7 @@ def run(question: str, catalog: SchemaCatalog, index: CellIndex,
     The trace records every (sequence, feedback) pair, whether the budget
     was exhausted, and whether the conditional-clause fallback fired.
     """
-    ctx = build_context(catalog, question, instruction=config.instruction,
-                        demonstrations=demonstrations)
+    ctx = build_context(catalog, question, demonstrations=demonstrations)
     iterations: list[tuple[ActionSequence, Feedback]] = []
     exclusions: set[tuple[str, str]] = set()
     exclusion_history: list[str] = []
@@ -483,7 +478,7 @@ def run(question: str, catalog: SchemaCatalog, index: CellIndex,
             break
         result = parse_actions(text)
         seq = result.sequence
-        seq, qa_findings = resolve_qa(seq, agent, ctx, max_depth=config.qa_depth)
+        seq, qa_findings = resolve_qa(seq, agent, ctx)
 
         verdicts = []
         if config.use_retriever:
@@ -493,8 +488,7 @@ def run(question: str, catalog: SchemaCatalog, index: CellIndex,
         if config.dbms_feedback:
             findings.extend(detect_via_dbms(seq, catalog.source_path))
         elif config.use_detector:
-            findings.extend(detect(seq, catalog, rules,
-                                   allow_name_equijoin=config.allow_name_equijoin))
+            findings.extend(detect(seq, catalog, rules))
         feedback = Feedback(iteration=iteration, verdicts=verdicts,
                             findings=findings, parse_errors=result.errors)
         iterations.append((seq, feedback))

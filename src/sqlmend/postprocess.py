@@ -124,8 +124,9 @@ def _from_scope(tokens: list[Token]) -> tuple[list[str], dict[str, str]]:
 def rewrite(sql: str, catalog: SchemaCatalog, index: CellIndex, *,
             backend=None, min_score: float = 0.0) -> str:
     """Replace each extracted literal with the most similar raw cell of its
-    resolved column. Ambiguous or unindexed columns leave the literal
-    untouched; everything outside literal spans is byte-preserved.
+    resolved column. A literal that already is a cell, and ambiguous or
+    unindexed columns, leave the literal untouched; everything outside
+    literal spans is byte-preserved.
     """
     backend = backend or TrigramBackend()
     tokens = tokenize(sql)
@@ -141,7 +142,8 @@ def rewrite(sql: str, catalog: SchemaCatalog, index: CellIndex, *,
         if found.status != "ok":
             continue
         cells = index.column_cells(found.table.name, found.column.name)
-        if cells is None or not cells.cells:
+        # a literal that already is a cell stays, as the retriever's match does
+        if cells is None or not cells.cells or condition.literal in cells.cells:
             continue
         best = rank_candidates(condition.literal, cells, 1, backend)[0]
         if best.score < min_score:

@@ -22,12 +22,9 @@ from .actions import (
     Action,
     ActionSequence,
     AddFrom,
-    AddHaving,
-    AddWhere,
-    ColumnRef,
     CONDITIONAL_KINDS,
-    Literal,
-    LiteralList,
+    condition_column,
+    value_literals,
     walk,
 )
 from .schema_catalog import CellIndex, SchemaCatalog, normalize_cell
@@ -143,33 +140,6 @@ def similarity(a: str, b: str) -> float:
     return _DEFAULT_BACKEND.score(a, [b])[0]
 
 
-def _extract_condition_column(action: Action) -> ColumnRef | None:
-    if isinstance(action, AddWhere):
-        return action.column
-    if isinstance(action, AddHaving):
-        if action.lhs.aggregate is not None or action.lhs.expression == "*":
-            return None
-        return ColumnRef.parse(action.lhs.expression)
-    return None
-
-
-def _text_probes(action: Action) -> list[str] | None:
-    """Text literals whose membership the retriever should verify."""
-    value = action.value
-    if isinstance(value, Literal):
-        if value.kind != "text":
-            return None
-        return [value.value]
-    if isinstance(value, LiteralList):
-        texts = []
-        for item in value.items:
-            if item.kind != "text":
-                return None
-            texts.append(item.value)
-        return texts
-    return None
-
-
 def rank_candidates(literal: str, cells, k: int, backend=None) -> tuple[CellCandidate, ...]:
     """Top-k cells of one column by similarity to the literal; strict
     (score desc, raw asc) ordering for determinism.
@@ -195,7 +165,7 @@ def check_condition(action: Action, catalog: SchemaCatalog, index: CellIndex, *,
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    column = _extract_condition_column(action)
+    column = condition_column(action)
     if column is None:
         return NotApplicable(reason="aggregate expression")
 
@@ -207,9 +177,10 @@ def check_condition(action: Action, catalog: SchemaCatalog, index: CellIndex, *,
         return NotApplicable(reason=f"non-text column ({column_info.affinity})")
 
     op = action.op
-    probes = _text_probes(action)
-    if probes is None:
+    literals = value_literals(action.value)
+    if not literals or any(literal.kind != "text" for literal in literals):
         return NotApplicable(reason="non-text value")
+    probes = [literal.value for literal in literals]
     if op == "LIKE":
         if any("%" in p or "_" in p for p in probes):
             return NotApplicable(reason="pattern match")

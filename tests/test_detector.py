@@ -269,6 +269,23 @@ def test_value_format_rule_nonconforming_literal(episode_catalog):
     assert findings[0].machine_data["literal"] == "Jan 1, 2009"
 
 
+def test_value_format_rule_reads_an_aggregate_having(episode_catalog):
+    rules = load_rules([{"rule_id": "title-case", "kind": "value_format",
+                         "params": {"column": "title", "pattern": "[A-Z].*"}}])
+    seq = seq_of('add_select(title)\nadd_from(episode)\nadd_group_by(title)\n'
+                 'add_having(MAX(title), =, "lower")')
+    findings = detect(seq, episode_catalog, rules)
+    assert [(f.kind, f.action_path, f.machine_data["literal"]) for f in findings] == \
+        [(CUSTOM_RULE_VIOLATION, (3,), "lower")]
+
+
+def test_null_filter_rule_ignores_an_order_by_use(episode_catalog):
+    rules = load_rules(NULL_RULE)
+    for order_by in ("air_date", "episode.air_date", "MAX(air_date)"):
+        seq = seq_of(f"add_select(title)\nadd_from(episode)\nadd_order_by({order_by}, DESC)")
+        assert detect(seq, episode_catalog, rules) == []
+
+
 @pytest.mark.parametrize("bad", [
     [{"rule_id": "x", "kind": "nonsense", "params": {"column": "a"}}],
     [{"rule_id": "x", "kind": "value_format", "params": {"column": "a", "pattern": "("}}],

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from sqlmend.postprocess import _from_scope, extract_conditions, rewrite
+from sqlmend.schema_catalog import build_cell_index, load_catalog
 from sqlmend.sqllex import tokenize
 
 
@@ -62,6 +63,19 @@ def test_rewrite_fixes_case_mismatch(episode_catalog, episode_index):
 def test_rewrite_exact_literal_is_fixed_point(episode_catalog, episode_index):
     sql = "SELECT air_date FROM episode WHERE written_by = 'Todd Casey'"
     assert rewrite(sql, episode_catalog, episode_index) == sql
+
+
+def test_rewrite_keeps_a_literal_that_is_a_cell(tmp_db):
+    db = tmp_db("CREATE TABLE person (id INTEGER PRIMARY KEY, name TEXT);",
+                {"person": [(1, "Todd Casey"), (2, "todd casey"), (3, "TODD CASEY")]})
+    catalog = load_catalog(db)
+    index = build_cell_index(catalog, db)
+    for literal in ("Todd Casey", "todd casey", "TODD CASEY"):
+        sql = f"SELECT id FROM person WHERE name = '{literal}'"
+        assert rewrite(sql, catalog, index) == sql
+    # a literal that is no cell still goes to the best one, ties by raw text
+    assert rewrite("SELECT id FROM person WHERE name = 'todd cassey'", catalog, index) \
+        == "SELECT id FROM person WHERE name = 'TODD CASEY'"
 
 
 def test_rewrite_idempotent(episode_catalog, episode_index):
