@@ -1,5 +1,6 @@
 """Condition post-processing baseline: force every string literal in a
-predicted SQL query onto the most similar cell of its column.
+predicted SQL query that is not a cell onto the most similar cell of its
+column.
 
 The extraction is a lightweight token scan, not a SQL parse, so it
 degrades gracefully on malformed predictions. Replacement is the
