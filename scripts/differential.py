@@ -23,6 +23,11 @@ one SHA-256 per surface:
                 AssemblyError's type and message
   refine        the trace JSON of run with a ScriptedAgent that replays the
                 draft and up to two more, sub-questions included
+  eval_report   score_examples over seeded examples with a file predictor,
+                post_process off and on, workers 1 and 2: each example's
+                result JSON and the aggregates
+  perturb       perturb_example over seeded annotated questions, each with a
+                random set of disturbance kinds, with and without the index
 
 Two checkouts that print the same lines for a seed agree on all of them.
 The script uses only long-standing public names, so it can score another
@@ -59,13 +64,15 @@ from conftest import EPISODE_DDL, EPISODE_ROWS, NETWORK_ROWS, PAIRING_ROWS, make
 from sqlmend.actions import AddWhere, ColumnRef, Literal, parse_actions, quote_string  # noqa: E402
 from sqlmend.assembler import AssemblyError, assemble  # noqa: E402
 from sqlmend.detector import detect, load_rules  # noqa: E402
-from sqlmend.evaluation import exact_match, has_top_level_order_by, sql_components  # noqa: E402
+from sqlmend.evaluation import EvalExample, exact_match, file_predictor  # noqa: E402
+from sqlmend.evaluation import has_top_level_order_by, score_examples, sql_components  # noqa: E402
 from sqlmend.orchestrator import RefinementConfig, ScriptedAgent, run, verdict_to_json  # noqa: E402
-from sqlmend.perturb import AnnotatedExample, NoApplicableSpan, Span, ValueSpan  # noqa: E402
-from sqlmend.perturb import replace_common_value  # noqa: E402
+from sqlmend.perturb import AnnotatedExample, ColumnMentionSpan, NoApplicableSpan  # noqa: E402
+from sqlmend.perturb import DISTURBANCE_KINDS, Span, ValueSpan  # noqa: E402
+from sqlmend.perturb import perturb_example, replace_common_value  # noqa: E402
 from sqlmend.postprocess import extract_conditions, rewrite  # noqa: E402
 from sqlmend.retriever import Matched, Mismatch, check_condition, inspect_sequence  # noqa: E402
-from sqlmend.schema_catalog import build_cell_index, load_catalog  # noqa: E402
+from sqlmend.schema_catalog import Database, build_cell_index, load_catalog  # noqa: E402
 
 TABLES = {
     "episode": ["id", "title", "air_date", "written_by", "directed_by"],
@@ -414,6 +421,67 @@ class DraftWriter:
         return "\n".join(self.level("s", 0))
 
 
+def eval_items(rng: random.Random, workdir: Path, n: int) -> list:
+    """Each example's result JSON and the aggregates of score_examples over
+    n examples, for post_process off and on and workers 1 and 2. Half the
+    golds are SQL-family queries, predicted by the same shape spelled
+    differently; half carry a cell, predicted with that cell probed."""
+    db = Database(make_db(workdir / "episodes.sqlite", EPISODE_DDL, {
+        "episode": EPISODE_ROWS, "pairing": PAIRING_ROWS, "network": NETWORK_ROWS}))
+    examples, predictions = [], []
+    for i in range(n):
+        if rng.random() < 0.5:
+            shape_seed = rng.random()
+            gold = generate_sql(shape_seed, rng.randrange(1 << 30))
+            predicted = generate_sql(shape_seed, rng.randrange(1 << 30))
+        else:
+            value = rng.choice(CELLS)
+            gold = gold_with_value(rng, Writer(random.Random(rng.randrange(1 << 30))), value)
+            predicted = gold.replace(value, probe_literal(rng, value), 1)
+        examples.append(EvalExample(id=f"ex{i}", question=f"question {i}", gold_sql=gold,
+                                    db_id="episodes", db=db))
+        predictions.append(predicted.replace("\n", " "))  # one prediction per line
+    path = workdir / "predictions.sql"
+    path.write_text("".join(line + "\n" for line in predictions), encoding="utf-8")
+    predictor = file_predictor(path, examples)
+    items = []
+    for post_process in (False, True):
+        for workers in (1, 2):
+            report = score_examples(examples, predictor, post_process=post_process,
+                                    workers=workers).to_json_dict()
+            items += report["examples"] + [report["aggregates"]]
+    return items
+
+
+def annotated_example(rng: random.Random, w: Writer) -> AnnotatedExample:
+    """A question naming one or two cells of a TEXT column, quoted,
+    capitalized or plain, most often with a mention of the column."""
+    table, name = rng.choice(TEXT_COLUMNS).split(".")
+    cells = column_cells(table, name)
+    values = rng.sample(cells, min(rng.randint(1, 2), len(cells)))
+    pieces = [("Which rows have ", None)]
+    if rng.random() < 0.8:
+        pieces += [("the ", None), (name.replace("_", " "), "column"), (" ", None)]
+    for j, value in enumerate(values):
+        if j:
+            pieces.append((rng.choice((" or ", ", or ")), None))
+        pieces.append((rng.choice((f'"{value}"', f"'{value}'", value, value.lower())), value))
+    pieces.append(("?", None))
+    question, value_spans, mentions = "", [], []
+    for text, role in pieces:
+        span = Span(len(question), len(question) + len(text))
+        question += text
+        if role == "column":
+            mentions.append(ColumnMentionSpan(span, f"{table}.{name}"))
+        elif role is not None:
+            value_spans.append(ValueSpan(span, rng.choice((f"{table}.{name}", name)), role))
+    gold = f"SELECT id FROM {table} WHERE " + " OR ".join(
+        f"{name} = {w.literal(value)}" for value in values)
+    return AnnotatedExample(question=question, gold_sql=gold, db_id="episodes",
+                            value_spans=tuple(value_spans),
+                            column_mention_spans=tuple(mentions))
+
+
 def verdict_item(verdict) -> list:
     if isinstance(verdict, Matched):
         return ["matched", verdict.raw_value]
@@ -451,7 +519,7 @@ def digests(seed: int, n: int) -> list[str]:
 
     surfaces: dict[str, list] = {name: [] for name in (
         "order_by", "components", "exact_match", "conditions", "rewrite", "replace_value",
-        "candidates", "findings", "verdicts", "assemble", "refine")}
+        "candidates", "findings", "verdicts", "assemble", "refine", "eval_report", "perturb")}
     for sql in queries:
         surfaces["order_by"].append(has_top_level_order_by(sql))
         components = sql_components(sql)
@@ -508,6 +576,16 @@ def digests(seed: int, n: int) -> list[str]:
         config = RefinementConfig(max_iterations=rng.randrange(4), candidate_k=rng.choice((0, 3)))
         trace = run(question, catalog, index, rules, ScriptedAgent(script), config)
         surfaces["refine"].append(trace.to_json_dict())
+
+    with tempfile.TemporaryDirectory(prefix="sqlmend-differential-") as workdir:
+        surfaces["eval_report"] = eval_items(rng, Path(workdir), n)
+    for i in range(n):
+        example = annotated_example(rng, Writer(random.Random(rng.randrange(1 << 30))))
+        kinds = [kind for kind in DISTURBANCE_KINDS if rng.random() < 0.6]
+        with_index = rng.random() < 0.8
+        out, applied = perturb_example(example, kinds, i, catalog if with_index else None,
+                                       index if with_index else None)
+        surfaces["perturb"].append([out.to_json_dict(), applied])
 
     lines = []
     for name, items in surfaces.items():

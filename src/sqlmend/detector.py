@@ -484,8 +484,12 @@ def _evaluate_rule_level(rule: ConstraintRule, uses: list[_ColumnUse],
 # ---------------------------------------------------------------------------
 
 
-def detect_via_dbms(seq: ActionSequence, db_path: str | Path, *,
-                    row_cap: int = 5, timeout_s: float = 5.0) -> list[DetectorFinding]:
+# the draft runs only to surface engine errors, so a few rows and seconds do
+DBMS_ROW_CAP = 5
+DBMS_TIMEOUT_S = 5.0
+
+
+def detect_via_dbms(seq: ActionSequence, db_path: str | Path) -> list[DetectorFinding]:
     """Alternate inspection path: execute the assembled SQL and convert
     engine exceptions into findings. Weaker than the static detector by
     construction; kept for side-by-side comparison runs.
@@ -503,10 +507,10 @@ def detect_via_dbms(seq: ActionSequence, db_path: str | Path, *,
     except sqlite3.Error as exc:
         return [DetectorFinding(kind=EXECUTION_ERROR, action_path=(),
                                 detail=str(exc), machine_data={"error": str(exc)})]
-    deadline = time.monotonic() + timeout_s
+    deadline = time.monotonic() + DBMS_TIMEOUT_S
     conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 1000)
     try:
-        conn.execute(sql).fetchmany(row_cap)
+        conn.execute(sql).fetchmany(DBMS_ROW_CAP)
     except sqlite3.Error as exc:
         return [_engine_error_finding(str(exc), sql)]
     finally:

@@ -45,7 +45,6 @@ class EvalExample:
     gold_sql: str
     db_id: str
     db: Database
-    predicted_sql: str | None = None
 
 
 @dataclass
@@ -439,17 +438,16 @@ def pipeline_predictor(agent_factory, db_root: str | Path, *, config=None,
 
 def run_benchmark(dataset_path: str | Path, predictor: Callable[[EvalExample], str], *,
                   db_root: str | Path | None = None, post_process: bool = False,
-                  workers: int = 1, timeout_s: float = DEFAULT_TIMEOUT_S,
-                  backend=None) -> EvalReport:
+                  workers: int = 1, timeout_s: float = DEFAULT_TIMEOUT_S) -> EvalReport:
     """Load the dataset and score every example with score_examples."""
     examples, _root = load_dataset(dataset_path, db_root)
     return score_examples(examples, predictor, post_process=post_process, workers=workers,
-                          timeout_s=timeout_s, backend=backend)
+                          timeout_s=timeout_s)
 
 
 def score_examples(examples: list[EvalExample], predictor: Callable[[EvalExample], str], *,
                    post_process: bool = False, workers: int = 1,
-                   timeout_s: float = DEFAULT_TIMEOUT_S, backend=None) -> EvalReport:
+                   timeout_s: float = DEFAULT_TIMEOUT_S) -> EvalReport:
     """Score loaded examples; optionally run condition post-processing over
     the predictions first. The predictor gets these examples, so each
     database is built at most once per call.
@@ -467,9 +465,7 @@ def score_examples(examples: list[EvalExample], predictor: Callable[[EvalExample
         if post_process:
             from .postprocess import rewrite
 
-            predicted = rewrite(predicted, example.db.catalog, example.db.index,
-                                backend=backend)
-        example.predicted_sql = predicted
+            predicted = rewrite(predicted, example.db.catalog, example.db.index)
         try:
             ex_flag = execution_accuracy(predicted, example.gold_sql, example.db.path,
                                          timeout_s=timeout_s)

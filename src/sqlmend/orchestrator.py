@@ -21,11 +21,9 @@ from time import sleep
 from .actions import (
     ActionSequence,
     CONDITIONAL_KINDS,
-    Literal,
     ParseError,
     QA,
     assign_sequence_ids,
-    node_at,
     parse_actions,
     serialize_actions,
     walk,
@@ -103,9 +101,8 @@ def render_schema(catalog: SchemaCatalog, excluded: frozenset = frozenset()) -> 
 
 
 def build_context(catalog: SchemaCatalog, question: str, *,
-                  instruction: str = DEFAULT_INSTRUCTION,
                   demonstrations: tuple[Demonstration, ...] = ()) -> AgentContext:
-    return AgentContext(instruction=instruction, demonstrations=demonstrations,
+    return AgentContext(instruction=DEFAULT_INSTRUCTION, demonstrations=demonstrations,
                         question=question, schema_view=render_schema(catalog),
                         catalog=catalog)
 
@@ -156,10 +153,6 @@ class Feedback:
     @property
     def approved(self) -> bool:
         return not self.mismatches and not self.findings and not self.parse_errors
-
-    @property
-    def has_condition_mismatch(self) -> bool:
-        return bool(self.mismatches)
 
     def render(self) -> str:
         """Compact text block shown to the agent on refinement."""
@@ -276,7 +269,7 @@ RETRY_BACKOFF_S = 0.5
 
 
 class HttpAgent(AgentInterface):
-    """Chat-completion-style HTTP backend.
+    """Chat-completion-style HTTP agent.
 
     Requests are pinned to temperature 0 and a 300-token cap for stable,
     bounded replies. Transport failures, 5xx and 429 responses are retried
@@ -293,12 +286,12 @@ class HttpAgent(AgentInterface):
         self.retries = retries
 
     @classmethod
-    def from_env(cls, retries: int = 2) -> "HttpAgent":
+    def from_env(cls) -> "HttpAgent":
         endpoint = os.environ.get(ENDPOINT_ENV)
         if not endpoint:
             raise AgentFailure(f"{ENDPOINT_ENV} is not set")
         return cls(endpoint=endpoint, api_key=os.environ.get(API_KEY_ENV),
-                   model=os.environ.get(MODEL_ENV, "default"), retries=retries)
+                   model=os.environ.get(MODEL_ENV, "default"))
 
     def _chat(self, messages: list[dict]) -> str:
         payload = json.dumps({
@@ -423,19 +416,6 @@ def _mismatch_columns(feedback: Feedback) -> set[tuple[str, str]]:
     return columns
 
 
-def _apply_matched_values(seq: ActionSequence, feedback: Feedback) -> None:
-    """Pin each matched condition to the ground-truth raw cell value."""
-    for path, verdict in feedback.verdicts:
-        if not isinstance(verdict, Matched):
-            continue
-        level, index = node_at(seq, path)
-        action = level.actions[index]
-        if isinstance(action, CONDITIONAL_KINDS) and isinstance(action.value, Literal) \
-                and action.value.kind == "text":
-            level.actions[index] = replace(action, value=Literal(kind="text",
-                                                                 value=verdict.raw_value))
-
-
 def _fallback_conditionals(final: ActionSequence, initial: ActionSequence) -> ActionSequence:
     """Replace the final sequence's top-level conditional actions with the
     initial iteration's, keeping everything else.
@@ -452,8 +432,7 @@ def _fallback_conditionals(final: ActionSequence, initial: ActionSequence) -> Ac
 def run(question: str, catalog: SchemaCatalog, index: CellIndex,
         rules: list[ConstraintRule] | tuple, agent: AgentInterface,
         config: RefinementConfig = RefinementConfig(), *,
-        demonstrations: tuple[Demonstration, ...] = (),
-        backend=None) -> RefinementTrace:
+        demonstrations: tuple[Demonstration, ...] = ()) -> RefinementTrace:
     """Run the full inspect-and-refine loop for one question.
 
     The trace records every (sequence, feedback) pair, whether the budget
@@ -482,8 +461,7 @@ def run(question: str, catalog: SchemaCatalog, index: CellIndex,
 
         verdicts = []
         if config.use_retriever:
-            verdicts = inspect_sequence(seq, catalog, index, k=config.candidate_k,
-                                        backend=backend)
+            verdicts = inspect_sequence(seq, catalog, index, k=config.candidate_k)
         findings = list(qa_findings)
         if config.dbms_feedback:
             findings.extend(detect_via_dbms(seq, catalog.source_path))
@@ -507,9 +485,7 @@ def run(question: str, catalog: SchemaCatalog, index: CellIndex,
     final_seq, final_feedback = iterations[-1]
     exhausted = agent_failed or not final_feedback.approved
     fallback_applied = False
-    if final_feedback.approved:
-        _apply_matched_values(final_seq, final_feedback)
-    elif exhausted and final_feedback.has_condition_mismatch and len(iterations) > 1:
+    if exhausted and final_feedback.mismatches and len(iterations) > 1:
         final_seq = _fallback_conditionals(final_seq, iterations[0][0])
         fallback_applied = True
     return RefinementTrace(iterations=iterations, final=final_seq, exhausted=exhausted,

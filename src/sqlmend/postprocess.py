@@ -123,13 +123,13 @@ def _from_scope(tokens: list[Token]) -> tuple[list[str], dict[str, str]]:
 
 
 def rewrite(sql: str, catalog: SchemaCatalog, index: CellIndex, *,
-            backend=None, min_score: float = 0.0) -> str:
+            min_score: float = 0.0) -> str:
     """Replace each extracted literal with the most similar raw cell of its
     resolved column. A literal that already is a cell, and ambiguous or
     unindexed columns, leave the literal untouched; everything outside
     literal spans is byte-preserved.
     """
-    backend = backend or TrigramBackend()
+    backend = TrigramBackend()  # read from this module per call, so it can be swapped
     tokens = tokenize(sql)
     tables, aliases = _from_scope(tokens)
     # a query naming no known table leaves the whole catalog as the scope

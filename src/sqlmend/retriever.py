@@ -3,17 +3,14 @@ ranked similar-cell feedback when a literal matches nothing.
 
 The match test is byte equality against raw cell values, so a Matched
 verdict predicts that the assembled equality condition can select rows.
-Ranking uses a pluggable similarity backend; the default scores cosine
-similarity over character-trigram profiles of normalized text and needs
-no model or network.
+Ranking scores cosine similarity over character-trigram profiles of
+normalized text and needs no model or network.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 import math
-import urllib.request
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -71,7 +68,7 @@ def _length(profile: Counter) -> float:
 
 
 class TrigramBackend:
-    """Deterministic default: trigram-profile cosine over normalized text.
+    """The similarity scorer: trigram-profile cosine over normalized text.
     Equal normalized forms score 1.0; an empty one scores 0.0 against any
     other."""
 
@@ -94,44 +91,6 @@ class TrigramBackend:
         return scores
 
 
-class HttpEmbeddingBackend:
-    """Scores via an external embedding service.
-
-    POSTs {"texts": [...]} and expects {"vectors": [[...], ...]} back.
-    """
-
-    def __init__(self, endpoint: str, api_key: str | None = None, timeout: float = 10.0):
-        self.endpoint = endpoint
-        self.api_key = api_key
-        self.timeout = timeout
-
-    def _embed(self, texts: Sequence[str]) -> list[list[float]]:
-        body = json.dumps({"texts": list(texts)}).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        request = urllib.request.Request(self.endpoint, data=body, headers=headers)
-        with urllib.request.urlopen(request, timeout=self.timeout) as response:
-            payload = json.loads(response.read().decode("utf-8"))
-        return payload["vectors"]
-
-    def score(self, query: str, texts: Sequence[str]) -> list[float]:
-        if not texts:
-            return []
-        vectors = self._embed([query] + list(texts))
-        query_vec = vectors[0]
-        qnorm = math.sqrt(sum(x * x for x in query_vec))
-        scores = []
-        for vec in vectors[1:]:
-            vnorm = math.sqrt(sum(x * x for x in vec))
-            if qnorm == 0.0 or vnorm == 0.0:
-                scores.append(0.0)
-                continue
-            dot = sum(x * y for x, y in zip(query_vec, vec))
-            scores.append(max(0.0, min(1.0, dot / (qnorm * vnorm))))
-        return scores
-
-
 _DEFAULT_BACKEND = TrigramBackend()
 
 
@@ -142,7 +101,8 @@ def similarity(a: str, b: str) -> float:
 
 def rank_candidates(literal: str, cells, k: int, backend=None) -> tuple[CellCandidate, ...]:
     """Top-k cells of one column by similarity to the literal; strict
-    (score desc, raw asc) ordering for determinism.
+    (score desc, raw asc) ordering for determinism. `backend` is the
+    TrigramBackend that scores them, a shared one when None.
     """
     backend = backend or _DEFAULT_BACKEND
     scores = backend.score(literal, cells.cells)
@@ -154,7 +114,7 @@ def rank_candidates(literal: str, cells, k: int, backend=None) -> tuple[CellCand
 
 
 def check_condition(action: Action, catalog: SchemaCatalog, index: CellIndex, *,
-                    k: int = DEFAULT_CANDIDATES, backend=None,
+                    k: int = DEFAULT_CANDIDATES,
                     scope_tables: Sequence[str] | None = None) -> ConditionVerdict:
     """Verdict for one conditional action.
 
@@ -192,12 +152,12 @@ def check_condition(action: Action, catalog: SchemaCatalog, index: CellIndex, *,
         return Mismatch(candidates=())
     for literal in probes:
         if literal not in cells.cells:
-            return Mismatch(candidates=rank_candidates(literal, cells, k, backend))
+            return Mismatch(candidates=rank_candidates(literal, cells, k))
     return Matched(raw_value=probes[0])
 
 
 def inspect_sequence(seq: ActionSequence, catalog: SchemaCatalog, index: CellIndex, *,
-                     k: int = DEFAULT_CANDIDATES, backend=None) -> list[tuple[tuple, ConditionVerdict]]:
+                     k: int = DEFAULT_CANDIDATES) -> list[tuple[tuple, ConditionVerdict]]:
     """One verdict per conditional action, in walk order, merge and
     resolved-QA children included. Paths index into the sequence tree.
     """
@@ -207,5 +167,5 @@ def inspect_sequence(seq: ActionSequence, catalog: SchemaCatalog, index: CellInd
             from_action = level.first(AddFrom)
             scope = list(from_action.tables) if from_action is not None else None
             out.append((path, check_condition(action, catalog, index, k=k,
-                                              backend=backend, scope_tables=scope)))
+                                              scope_tables=scope)))
     return out

@@ -1,6 +1,5 @@
-"""Wire-format tests for the two optional HTTP backends, against a local
-loopback server: the embedding service ({"texts": [...]} in,
-{"vectors": [...]} out) and the chat-completion agent endpoint.
+"""Wire-format tests for the optional HTTP agent, against a local loopback
+chat-completion endpoint.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import pytest
 
 from sqlmend import orchestrator
 from sqlmend.orchestrator import AgentFailure, HttpAgent, build_context
-from sqlmend.retriever import HttpEmbeddingBackend
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -32,17 +30,10 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(type(self).fail_status)
             self.end_headers()
             return
-        if self.path == "/embed":
-            # toy embedding: [length, vowels] per text
-            vectors = [[float(len(t)), float(sum(ch in "aeiou" for ch in t))]
-                       for t in body["texts"]]
-            payload = {"vectors": vectors}
-        else:
-            payload = {"choices": [{"message": {
-                "content": "add_select(title)\nadd_from(episode)"}}]}
-        data = json.dumps(payload).encode("utf-8")
-        if self.path != "/embed" and type(self).chat_reply is not None:
-            data = type(self).chat_reply
+        data = type(self).chat_reply
+        if data is None:
+            data = json.dumps({"choices": [{"message": {
+                "content": "add_select(title)\nadd_from(episode)"}}]}).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -75,24 +66,6 @@ def http_server(sleeps):
     finally:
         server.shutdown()
         thread.join()
-
-
-def test_embedding_backend_wire_format(http_server):
-    backend = HttpEmbeddingBackend(endpoint=f"{http_server}/embed", api_key="secret")
-    scores = backend.score("abc", ["abc", "abcabc", "xyz"])
-    assert len(scores) == 3
-    assert scores[0] == pytest.approx(1.0)  # identical toy vectors
-    assert scores[1] == pytest.approx(1.0)  # parallel vectors (double length)
-    assert all(0.0 <= s <= 1.0 for s in scores)
-    request = _Handler.requests[0]
-    assert request["body"] == {"texts": ["abc", "abc", "abcabc", "xyz"]}
-    assert request["auth"] == "Bearer secret"
-
-
-def test_embedding_backend_empty_candidates(http_server):
-    backend = HttpEmbeddingBackend(endpoint=f"{http_server}/embed")
-    assert backend.score("q", []) == []
-    assert _Handler.requests == []  # no call for nothing to score
 
 
 def test_http_agent_request_shape(http_server, episode_catalog):

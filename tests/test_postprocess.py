@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from sqlmend import postprocess
 from sqlmend.postprocess import _from_scope, extract_conditions, rewrite
 from sqlmend.schema_catalog import build_cell_index, load_catalog
 from sqlmend.sqllex import tokenize
@@ -179,3 +180,21 @@ def test_extract_reads_whole_tokens():
     # a character between operator and literal breaks the comparison
     assert extract_conditions("SELECT * FROM t WHERE a = +'x'") == []
     assert _from_scope(tokenize("SELECT * FROM t WHERE x = 1from u")) == (["t"], {})
+
+
+def test_rewrite_scores_through_the_module_scorer(monkeypatch, episode_catalog, episode_index):
+    # perfbench/tracing.py counts post-processing work by swapping this name
+    calls = []
+
+    class CountingBackend(postprocess.TrigramBackend):
+        def score(self, query, texts):
+            calls.append((query, texts))
+            return super().score(query, texts)
+
+    monkeypatch.setattr(postprocess, "TrigramBackend", CountingBackend)
+    sql = ("SELECT id FROM episode WHERE written_by = 'Todd Casey' "
+           "AND title = 'double down' AND directed_by = 'fred toy'")
+    assert rewrite(sql, episode_catalog, episode_index) == sql.replace(
+        "'double down'", "'Double Down'").replace("'fred toy'", "'Fred Toye'")
+    assert calls == [("double down", episode_index.column_cells("episode", "title").cells),
+                     ("fred toy", episode_index.column_cells("episode", "directed_by").cells)]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqlmend import retriever
 from sqlmend.actions import AddWhere, ColumnRef, Literal, LiteralList, parse_actions
 from sqlmend.retriever import (
     Matched,
@@ -159,6 +160,26 @@ def test_rank_candidates_tie_break_is_raw_ascending(episode_index):
     cells = episode_index.column_cells("network", "name")
     ranked = rank_candidates("zzz", cells, k=5)
     assert [c.raw_value for c in ranked] == ["ABC", "Fox"]  # both score 0.0
+
+
+def test_check_condition_ranks_through_the_module_global(monkeypatch, episode_catalog,
+                                                         episode_index):
+    # perfbench/tracing.py times ranking by swapping this name
+    calls = []
+    rank = retriever.rank_candidates
+
+    def counting(literal, cells, k, *args):
+        calls.append((literal, cells.column, k))
+        return rank(literal, cells, k, *args)
+
+    monkeypatch.setattr(retriever, "rank_candidates", counting)
+    hit = check_condition(where("written_by", "=", "Todd Casey"), episode_catalog, episode_index)
+    assert hit == Matched(raw_value="Todd Casey")
+    assert calls == []
+    miss = check_condition(where("written_by", "=", "todd casey"), episode_catalog,
+                           episode_index, k=2)
+    assert calls == [("todd casey", "written_by", 2)]
+    assert miss.candidates[0].raw_value == "Todd Casey"
 
 
 def _oracle_profile(text: str) -> Counter:
