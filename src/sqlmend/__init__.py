@@ -34,7 +34,7 @@ from .orchestrator import (
     run,
 )
 from .postprocess import extract_conditions, rewrite
-from .retriever import check_condition, inspect_sequence, similarity
+from .retriever import check_condition, inspect_sequence
 from .schema_catalog import (
     CellIndex,
     SchemaCatalog,
@@ -80,6 +80,5 @@ __all__ = [
     "run",
     "run_benchmark",
     "serialize_actions",
-    "similarity",
     "validate_shape",
 ]

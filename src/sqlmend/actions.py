@@ -40,7 +40,6 @@ from typing import Iterator, Union
 
 COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
 WORD_OPS = ("LIKE", "IN", "NOT IN", "BETWEEN")
-ALL_OPS = COMPARISON_OPS + WORD_OPS
 AGGREGATES = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 MERGE_OPERATORS = ("UNION", "INTERSECT", "EXCEPT")
 DIRECTIONS = ("ASC", "DESC")
@@ -192,9 +191,6 @@ class ActionSequence:
     def __len__(self) -> int:
         return len(self.actions)
 
-    def conditional_actions(self) -> list[Action]:
-        return [a for a in self.actions if isinstance(a, CONDITIONAL_KINDS)]
-
     def first(self, kind) -> Action | None:
         for action in self.actions:
             if isinstance(action, kind):
@@ -256,14 +252,6 @@ def walk_levels(seq: ActionSequence) -> Iterator[tuple[tuple, ActionSequence]]:
             if action is None)
 
 
-def node_at(seq: ActionSequence, path: tuple) -> tuple[ActionSequence, int]:
-    """The level holding the action at `path`, and its index there."""
-    level = seq
-    for index, label in zip(path[:-1:2], path[1::2]):
-        level = dict(_child_sequences(level.actions[index]))[label]
-    return level, path[-1]
-
-
 def assign_sequence_ids(seq: ActionSequence, root: str = "s") -> ActionSequence:
     """Give the sequence tree deterministic position-derived ids."""
     for prefix, level in walk_levels(seq):
@@ -286,10 +274,6 @@ class ParseError:
 class ParseResult:
     sequence: ActionSequence
     errors: list[ParseError]
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
 
 
 class _ArgError(Exception):
@@ -655,10 +639,6 @@ def quote_string(value: str) -> str:
     return '"' + "".join(_ESCAPE.get(ch, ch) for ch in value) + '"'
 
 
-def _number_text(value) -> str:
-    return repr(value)
-
-
 def _value_text(value: Value) -> str:
     if isinstance(value, SubqueryRef):
         return f"@{value.sequence_id}"
@@ -667,7 +647,7 @@ def _value_text(value: Value) -> str:
     if value.kind == "text":
         return quote_string(value.value)
     if value.kind == "number":
-        return _number_text(value.value)
+        return repr(value.value)
     if value.kind == "null":
         return "NULL"
     return str(value.value)

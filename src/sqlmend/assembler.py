@@ -96,8 +96,7 @@ def _item_sql(item: SelectItem) -> str:
 
 
 class _Assembler:
-    def __init__(self, root: ActionSequence, plan: ConnectivePlan):
-        self.plan = plan
+    def __init__(self, root: ActionSequence):
         self.sequences = {level.id: level for _prefix, level in walk_levels(root)}
         # the levels being rendered, by identity: one referenced again from
         # inside itself would render without end
@@ -217,8 +216,7 @@ def assemble(seq: ActionSequence, plan: ConnectivePlan | None = None) -> str:
     """Deterministic SQL for a structurally well-formed, fully resolved
     sequence. An empty or missing plan falls back to all-AND.
     """
-    assembler = _Assembler(seq, plan or ConnectivePlan())
-    return assembler.level_sql(seq, plan or ConnectivePlan())
+    return _Assembler(seq).level_sql(seq, plan or ConnectivePlan())
 
 
 CONNECTIVE_INSTRUCTION = (

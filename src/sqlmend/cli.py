@@ -13,10 +13,11 @@ import sqlite3
 import sys
 from pathlib import Path
 
-from .actions import parse_actions
+from .actions import AddWhere, ColumnRef, parse_actions, text_literal
 from .assembler import AssemblyError, ConnectivePlan, assemble, predict_connectives
 from .detector import InvalidRuleConfig, detect, load_rules
 from .evaluation import (
+    DEFAULT_TIMEOUT_S,
     DatasetFormatError,
     db_file_for,
     file_predictor,
@@ -30,6 +31,7 @@ from .orchestrator import (
     RefinementConfig,
     ScriptedAgent,
     run,
+    verdict_to_json,
 )
 from .perturb import (
     AnnotationError,
@@ -39,10 +41,8 @@ from .perturb import (
     write_examples,
 )
 from .postprocess import rewrite
-from .retriever import check_condition
+from .retriever import DEFAULT_CANDIDATES, check_condition
 from .schema_catalog import CorruptDatabase, Database
-from .actions import AddWhere, ColumnRef, text_literal
-from .orchestrator import verdict_to_json
 
 
 def _emit(payload) -> None:
@@ -78,14 +78,13 @@ def _agent_factory(spec: str):
 
 
 def _refinement_config(args, config_file: dict) -> RefinementConfig:
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return config_file.get(key, default)
-
+    # a key the file leaves out keeps RefinementConfig's default
+    counts = {key: config_file[key] for key in ("max_iterations", "candidate_k")
+              if key in config_file}
+    if args.max_iter is not None:
+        counts["max_iterations"] = args.max_iter
     return RefinementConfig(
-        max_iterations=pick(args.max_iter, "max_iterations", 3),
-        candidate_k=config_file.get("candidate_k", 5),
+        **counts,
         use_retriever=not args.no_retriever,
         use_detector=not args.no_detector,
         dbms_feedback=args.dbms_feedback,
@@ -241,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--column", required=True, help="column or table.column")
     p.add_argument("--value", required=True)
     p.add_argument("--op", default="=")
-    p.add_argument("-k", type=int, default=5)
+    p.add_argument("-k", type=int, default=DEFAULT_CANDIDATES)
     p.set_defaults(func=_cmd_retrieve)
 
     p = sub.add_parser("detect", help="run the static detector over an action file")
@@ -282,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--post-process", action="store_true")
     p.add_argument("--db-root")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--timeout", type=float, default=30.0)
+    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_S)
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--no-retriever", action="store_true")
     p.add_argument("--no-detector", action="store_true")

@@ -406,8 +406,7 @@ def _detect_level(level: ActionSequence, prefix: tuple, catalog: SchemaCatalog,
 
     # (g) user-defined constraint rules
     for rule in rules:
-        for finding in _evaluate_rule_level(rule, uses, resolve):
-            emit(finding.kind, finding.action_path, finding.detail, **finding.machine_data)
+        _evaluate_rule_level(rule, uses, resolve, emit)
 
 
 def _having_text(action: AddHaving) -> str:
@@ -442,8 +441,7 @@ def _rule_matches(rule: ConstraintRule, resolve: _Resolve, ref: ColumnRef | None
 
 
 def _evaluate_rule_level(rule: ConstraintRule, uses: list[_ColumnUse],
-                         resolve: _Resolve) -> list[DetectorFinding]:
-    findings: list[DetectorFinding] = []
+                         resolve: _Resolve, emit) -> None:
     if rule.kind == "require_null_filter":
         references: list[tuple] = []
         guarded = False
@@ -458,10 +456,9 @@ def _evaluate_rule_level(rule: ConstraintRule, uses: list[_ColumnUse],
             else:
                 references.append(use.path)
         if references and not guarded:
-            findings.append(DetectorFinding(
-                kind=CUSTOM_RULE_VIOLATION, action_path=references[0],
-                detail=f"rule {rule.rule_id!r}: column {rule.column.text()!r} used without a NULL guard",
-                machine_data={"rule_id": rule.rule_id, "column": rule.column.text()}))
+            emit(CUSTOM_RULE_VIOLATION, references[0],
+                 f"rule {rule.rule_id!r}: column {rule.column.text()!r} used without a NULL guard",
+                 rule_id=rule.rule_id, column=rule.column.text())
     elif rule.kind == "value_format":
         pattern = re.compile(rule.pattern)
         for use in uses:
@@ -470,13 +467,10 @@ def _evaluate_rule_level(rule: ConstraintRule, uses: list[_ColumnUse],
                 continue
             for literal in value_literals(use.action.value):
                 if literal.kind == "text" and not pattern.fullmatch(literal.value):
-                    findings.append(DetectorFinding(
-                        kind=CUSTOM_RULE_VIOLATION, action_path=use.path,
-                        detail=(f"rule {rule.rule_id!r}: literal {literal.value!r} does not match "
-                                f"format {rule.pattern!r}"),
-                        machine_data={"rule_id": rule.rule_id, "literal": literal.value,
-                                      "pattern": rule.pattern}))
-    return findings
+                    emit(CUSTOM_RULE_VIOLATION, use.path,
+                         f"rule {rule.rule_id!r}: literal {literal.value!r} does not match "
+                         f"format {rule.pattern!r}",
+                         rule_id=rule.rule_id, literal=literal.value, pattern=rule.pattern)
 
 
 # ---------------------------------------------------------------------------

@@ -132,8 +132,6 @@ def has_top_level_order_by(sql: str) -> bool:
 def _cell_key(value) -> tuple:
     if value is None:
         return (0, "")
-    if isinstance(value, bool):
-        return (1, f"{float(value):.6e}")
     if isinstance(value, (int, float)):
         return (1, f"{float(value):.6e}")
     if isinstance(value, bytes):

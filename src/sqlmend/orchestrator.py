@@ -69,8 +69,6 @@ class AgentContext:
     demonstrations: tuple[Demonstration, ...]
     question: str
     schema_view: str
-    excluded_columns: frozenset = frozenset()
-    catalog: SchemaCatalog | None = field(default=None, repr=False, compare=False)
 
 
 def render_schema(catalog: SchemaCatalog, excluded: frozenset = frozenset()) -> str:
@@ -103,20 +101,7 @@ def render_schema(catalog: SchemaCatalog, excluded: frozenset = frozenset()) -> 
 def build_context(catalog: SchemaCatalog, question: str, *,
                   demonstrations: tuple[Demonstration, ...] = ()) -> AgentContext:
     return AgentContext(instruction=DEFAULT_INSTRUCTION, demonstrations=demonstrations,
-                        question=question, schema_view=render_schema(catalog),
-                        catalog=catalog)
-
-
-def reduce_schema(ctx: AgentContext, attempted_condition_columns) -> AgentContext:
-    """Remove previously attempted conditional columns from the schema view
-    so the agent does not repeat the same wrong guess.
-    """
-    excluded = frozenset(ctx.excluded_columns) | {
-        (t.lower(), c.lower()) for t, c in attempted_condition_columns}
-    if ctx.catalog is None:
-        return replace(ctx, excluded_columns=excluded)
-    return replace(ctx, excluded_columns=excluded,
-                   schema_view=render_schema(ctx.catalog, excluded))
+                        question=question, schema_view=render_schema(catalog))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +249,10 @@ ENDPOINT_ENV = "SQLMEND_LLM_ENDPOINT"
 API_KEY_ENV = "SQLMEND_LLM_API_KEY"
 MODEL_ENV = "SQLMEND_LLM_MODEL"
 
-# a retried request waits RETRY_BACKOFF_S, then twice that, and so on
+# a request is tried 1 + HTTP_RETRIES times, each with HTTP_TIMEOUT_S;
+# a retried one waits RETRY_BACKOFF_S, then twice that, and so on
+HTTP_TIMEOUT_S = 60.0
+HTTP_RETRIES = 2
 RETRY_BACKOFF_S = 0.5
 
 
@@ -277,13 +265,10 @@ class HttpAgent(AgentInterface):
     persistent failure raises AgentFailure.
     """
 
-    def __init__(self, endpoint: str, api_key: str | None = None,
-                 model: str = "default", timeout: float = 60.0, retries: int = 2):
+    def __init__(self, endpoint: str, api_key: str | None = None, model: str = "default"):
         self.endpoint = endpoint
         self.api_key = api_key
         self.model = model
-        self.timeout = timeout
-        self.retries = retries
 
     @classmethod
     def from_env(cls) -> "HttpAgent":
@@ -304,12 +289,12 @@ class HttpAgent(AgentInterface):
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error: Exception | None = None
-        for attempt in range(self.retries + 1):
+        for attempt in range(HTTP_RETRIES + 1):
             if attempt:
                 sleep(RETRY_BACKOFF_S * 2 ** (attempt - 1))
             request = urllib.request.Request(self.endpoint, data=payload, headers=headers)
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                with urllib.request.urlopen(request, timeout=HTTP_TIMEOUT_S) as response:
                     raw = response.read()
             except (OSError, http.client.HTTPException) as exc:  # HTTPError is an OSError
                 if isinstance(exc, urllib.error.HTTPError) and exc.code < 500 \
@@ -355,11 +340,15 @@ class HttpAgent(AgentInterface):
 # ---------------------------------------------------------------------------
 
 
-def resolve_qa(seq: ActionSequence, agent: AgentInterface, ctx: AgentContext,
-               max_depth: int = 2) -> tuple[ActionSequence, list[DetectorFinding]]:
+# qa() actions nest at most this deep
+MAX_QA_DEPTH = 2
+
+
+def resolve_qa(seq: ActionSequence, agent: AgentInterface,
+               ctx: AgentContext) -> tuple[ActionSequence, list[DetectorFinding]]:
     """Resolve qa() actions by recursive agent calls on the sub-question.
 
-    Recursion past `max_depth` leaves the action unresolved and reports a
+    Recursion past MAX_QA_DEPTH leaves the action unresolved and reports a
     finding instead.
     """
     findings: list[DetectorFinding] = []
@@ -369,10 +358,10 @@ def resolve_qa(seq: ActionSequence, agent: AgentInterface, ctx: AgentContext,
     for path, _level, action in walk(seq):
         if not isinstance(action, QA) or action.resolved is not None:
             continue
-        if path.count("qa") >= max_depth:
+        if path.count("qa") >= MAX_QA_DEPTH:
             findings.append(DetectorFinding(
                 kind=UNRESOLVED_SUB_QUESTION, action_path=path,
-                detail=f"sub-question depth limit ({max_depth}) reached",
+                detail=f"sub-question depth limit ({MAX_QA_DEPTH}) reached",
                 machine_data={"question": action.sub_question}))
             continue
         try:
@@ -402,9 +391,10 @@ class RefinementConfig:
     dbms_feedback: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.max_iterations, int) or not 0 <= self.max_iterations <= 10:
+        # a JSON true is a Python int, but no count
+        if type(self.max_iterations) is not int or not 0 <= self.max_iterations <= 10:
             raise ValueError("max_iterations must be an integer between 0 and 10")
-        if not isinstance(self.candidate_k, int) or self.candidate_k < 0:
+        if type(self.candidate_k) is not int or self.candidate_k < 0:
             raise ValueError("candidate_k must be a non-negative integer")
 
 
@@ -475,7 +465,8 @@ def run(question: str, catalog: SchemaCatalog, index: CellIndex,
         new_columns = _mismatch_columns(feedback) - exclusions
         exclusions |= new_columns
         exclusion_history.extend(sorted(f"{t}.{c}" for t, c in new_columns))
-        ctx = reduce_schema(ctx, exclusions)
+        ctx = replace(ctx, schema_view=render_schema(
+            catalog, frozenset((t.lower(), c.lower()) for t, c in exclusions)))
         prev_seq, prev_feedback = seq, feedback
 
     if not iterations:

@@ -208,17 +208,18 @@ def replace_common_value(example: AnnotatedExample, catalog: SchemaCatalog,
                          index: CellIndex, rng_seed: int) -> AnnotatedExample:
     """Swap the first applicable value for a different cell of the same
     column, in both the question and the gold SQL, so the gold stays
-    correct.
+    correct. The new cell is none that a value of that column already
+    names, so distinct values stay distinct.
     """
-    for value in sorted(example.value_spans, key=lambda v: v.span.start):
-        ref = ColumnRef.parse(value.column)
-        found = catalog.resolve(ref.table, ref.column)
-        if found.status != "ok":
+    spans = [(value, _resolved_column(catalog, value.column)) for value in example.value_spans]
+    for value, column in sorted(spans, key=lambda pair: pair[0].span.start):
+        if column is None:
             continue
-        cells = index.column_cells(found.table.name, found.column.name)
+        cells = index.column_cells(*column)
         if cells is None or len(cells.cells) < 2:
             continue
-        candidates = [raw for raw in cells.cells if raw != value.literal]
+        taken = {other.literal for other, other_column in spans if other_column == column}
+        candidates = [raw for raw in cells.cells if raw not in taken]
         if not candidates:
             continue
         new_cell = random.Random(rng_seed).choice(candidates)
@@ -228,7 +229,13 @@ def replace_common_value(example: AnnotatedExample, catalog: SchemaCatalog,
             replace(v, literal=new_cell) if v.span.start == value.span.start else v
             for v in spliced.value_spans)
         return replace(spliced, gold_sql=new_gold, value_spans=value_spans)
-    raise NoApplicableSpan("no value span backed by a column with 2+ distinct cells")
+    raise NoApplicableSpan("no value span whose column has another cell to swap in")
+
+
+def _resolved_column(catalog: SchemaCatalog, text: str) -> tuple[str, str] | None:
+    ref = ColumnRef.parse(text)
+    found = catalog.resolve(ref.table, ref.column)
+    return (found.table.name, found.column.name) if found.status == "ok" else None
 
 
 def _replace_sql_literal(sql: str, old: str, new: str) -> str:
@@ -284,10 +291,6 @@ def read_examples(path: str | Path) -> list[AnnotatedExample]:
     return examples
 
 
-def write_examples(path_or_handle, records) -> None:
-    if hasattr(path_or_handle, "write"):
-        for record in records:
-            path_or_handle.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
-        return
-    with open(path_or_handle, "w", encoding="utf-8") as handle:
-        write_examples(handle, records)
+def write_examples(handle, records) -> None:
+    for record in records:
+        handle.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")

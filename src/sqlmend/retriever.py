@@ -94,11 +94,6 @@ class TrigramBackend:
 _DEFAULT_BACKEND = TrigramBackend()
 
 
-def similarity(a: str, b: str) -> float:
-    """Similarity in [0, 1]; 1.0 whenever the normalized forms are equal."""
-    return _DEFAULT_BACKEND.score(a, [b])[0]
-
-
 def rank_candidates(literal: str, cells, k: int, backend=None) -> tuple[CellCandidate, ...]:
     """Top-k cells of one column by similarity to the literal; strict
     (score desc, raw asc) ordering for determinism. `backend` is the

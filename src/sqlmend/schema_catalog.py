@@ -17,8 +17,6 @@ from typing import Sequence
 
 from .sqllex import quote
 
-AFFINITIES = ("TEXT", "INTEGER", "REAL", "NUMERIC", "BOOLEAN", "DATE", "OTHER")
-
 DEFAULT_CELL_CAP = 50_000
 
 _PUNCT_RE = re.compile(r"[^\w\s]+", re.UNICODE)
@@ -206,9 +204,6 @@ class CellIndex:
         """Indexed (table, column) pairs in original case, sorted."""
         return sorted((c.table, c.column) for c in self._columns.values())
 
-    def __len__(self) -> int:
-        return len(self._columns)
-
 
 def connect_readonly(db_path: str | Path) -> sqlite3.Connection:
     """Open a database file read-only.
@@ -285,12 +280,11 @@ def load_catalog(db_path: str | Path) -> SchemaCatalog:
         conn.close()
 
 
-def build_cell_index(catalog: SchemaCatalog, db_path: str | Path,
-                     cap: int = DEFAULT_CELL_CAP) -> CellIndex:
+def build_cell_index(catalog: SchemaCatalog, db_path: str | Path) -> CellIndex:
     """Index distinct non-NULL cells of every TEXT-affinity column.
 
-    Columns with more than `cap` distinct values keep the most frequent
-    `cap` of them.
+    Columns with more than DEFAULT_CELL_CAP distinct values keep the most
+    frequent DEFAULT_CELL_CAP of them.
     """
     conn = _connect_existing(db_path)
     try:
@@ -302,7 +296,7 @@ def build_cell_index(catalog: SchemaCatalog, db_path: str | Path,
                 col_sql, table_sql = quote(col.name, '"'), quote(table.name, '"')
                 sql = (f"SELECT {col_sql}, COUNT(*) AS n FROM {table_sql} "
                        f"WHERE {col_sql} IS NOT NULL GROUP BY {col_sql} "
-                       f"ORDER BY n DESC, {col_sql} ASC LIMIT {int(cap)}")
+                       f"ORDER BY n DESC, {col_sql} ASC LIMIT {DEFAULT_CELL_CAP}")
                 try:
                     rows = conn.execute(sql).fetchall()
                 except sqlite3.DatabaseError as exc:

@@ -361,6 +361,9 @@ UNUSABLE_INPUT = {
     "refine-negative-candidate-k": (lambda t, db: [
         "refine", str(db), "--question", "q", "--agent", _replay(t, {"q": CLEAN_ACTIONS}),
         "--config", _file(t / "c.json", {"candidate_k": -1})], "ValueError"),
+    "refine-candidate-k-boolean": (lambda t, db: [
+        "refine", str(db), "--question", "q", "--agent", _replay(t, {"q": CLEAN_ACTIONS}),
+        "--config", _file(t / "c.json", {"candidate_k": True})], "ValueError"),
     "refine-max-iterations-not-a-number": (lambda t, db: [
         "refine", str(db), "--question", "q", "--agent", _replay(t, {"q": CLEAN_ACTIONS}),
         "--config", _file(t / "c.json", {"max_iterations": "3"})], "ValueError"),

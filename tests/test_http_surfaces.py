@@ -84,7 +84,7 @@ def test_http_agent_request_shape(http_server, episode_catalog):
 
 def test_http_agent_retries_transport_failures(http_server, episode_catalog):
     _Handler.fail_times = 2
-    agent = HttpAgent(endpoint=f"{http_server}/chat", retries=2)
+    agent = HttpAgent(endpoint=f"{http_server}/chat")
     ctx = build_context(episode_catalog, "q")
     assert agent.generate(ctx)  # third attempt succeeds
     assert len(_Handler.requests) == 3
@@ -92,7 +92,7 @@ def test_http_agent_retries_transport_failures(http_server, episode_catalog):
 
 def test_http_agent_persistent_failure_raises(http_server, episode_catalog):
     _Handler.fail_times = 10
-    agent = HttpAgent(endpoint=f"{http_server}/chat", retries=2)
+    agent = HttpAgent(endpoint=f"{http_server}/chat")
     with pytest.raises(AgentFailure):
         agent.generate(build_context(episode_catalog, "q"))
 
@@ -119,17 +119,18 @@ def test_http_agent_refine_carries_feedback(http_server, episode_catalog, episod
 def test_http_agent_retries_server_errors_with_backoff(http_server, sleeps, episode_catalog,
                                                        status):
     _Handler.fail_times, _Handler.fail_status = 2, status
-    agent = HttpAgent(endpoint=f"{http_server}/chat", retries=2)
+    agent = HttpAgent(endpoint=f"{http_server}/chat")
     assert agent.generate(build_context(episode_catalog, "q"))
     assert len(_Handler.requests) == 3
     assert sleeps == [orchestrator.RETRY_BACKOFF_S, 2 * orchestrator.RETRY_BACKOFF_S]
 
 
-def test_http_agent_retries_an_unreachable_endpoint(sleeps, episode_catalog):
+def test_http_agent_retries_an_unreachable_endpoint(sleeps, episode_catalog, monkeypatch):
+    monkeypatch.setattr(orchestrator, "HTTP_RETRIES", 1)
     with socket.socket() as probe:  # a loopback port with nothing listening
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
-    agent = HttpAgent(endpoint=f"http://127.0.0.1:{port}/chat", retries=1)
+    agent = HttpAgent(endpoint=f"http://127.0.0.1:{port}/chat")
     with pytest.raises(AgentFailure, match="after retries"):
         agent.generate(build_context(episode_catalog, "q"))
     assert sleeps == [orchestrator.RETRY_BACKOFF_S]
@@ -137,7 +138,7 @@ def test_http_agent_retries_an_unreachable_endpoint(sleeps, episode_catalog):
 
 def test_http_agent_client_error_fails_at_once(http_server, sleeps, episode_catalog):
     _Handler.fail_times, _Handler.fail_status = 1, 400
-    agent = HttpAgent(endpoint=f"{http_server}/chat", retries=2)
+    agent = HttpAgent(endpoint=f"{http_server}/chat")
     with pytest.raises(AgentFailure, match="rejected"):
         agent.generate(build_context(episode_catalog, "q"))
     assert len(_Handler.requests) == 1
@@ -148,7 +149,7 @@ def test_http_agent_client_error_fails_at_once(http_server, sleeps, episode_cata
                                    b'{"choices": [{"message": {"content": null}}]}'])
 def test_http_agent_malformed_reply_fails_at_once(http_server, sleeps, episode_catalog, reply):
     _Handler.chat_reply = reply
-    agent = HttpAgent(endpoint=f"{http_server}/chat", retries=2)
+    agent = HttpAgent(endpoint=f"{http_server}/chat")
     with pytest.raises(AgentFailure, match="malformed"):
         agent.generate(build_context(episode_catalog, "q"))
     assert len(_Handler.requests) == 1

@@ -4,18 +4,25 @@ import json
 
 import pytest
 
-from sqlmend.actions import AddWhere, QA, parse_actions, serialize_actions
+from sqlmend import orchestrator
+from sqlmend.actions import (
+    CONDITIONAL_KINDS,
+    AddWhere,
+    QA,
+    parse_actions,
+    serialize_actions,
+)
 from sqlmend.detector import UNRESOLVED_SUB_QUESTION, load_rules
 from sqlmend.orchestrator import (
     Demonstration,
     RefinementConfig,
     ScriptedAgent,
     build_context,
-    reduce_schema,
     render_schema,
     resolve_qa,
     run,
 )
+from sqlmend.schema_catalog import build_cell_index, load_catalog
 
 QUESTION = "Who wrote the episode that aired first?"
 
@@ -24,6 +31,10 @@ MISMATCH_ACTIONS = ('add_select(written_by)\nadd_from(episode)\n'
 FIXED_ACTIONS = ('add_select(written_by)\nadd_from(episode)\n'
                  'add_where(written_by, =, "Todd Casey")')
 CLEAN_ACTIONS = "add_select(title)\nadd_from(episode)"
+
+
+def conditionals(seq) -> list:
+    return [a for a in seq.actions if isinstance(a, CONDITIONAL_KINDS)]
 
 
 def test_first_shot_approved(episode_catalog, episode_index):
@@ -40,7 +51,7 @@ def test_mismatch_then_fix(episode_catalog, episode_index):
     trace = run(QUESTION, episode_catalog, episode_index, (), agent)
     assert len(trace.iterations) == 2
     assert trace.exhausted is False
-    final_where = trace.final.conditional_actions()[0]
+    final_where = conditionals(trace.final)[0]
     assert final_where.value.value == "Todd Casey"
     first_feedback = trace.iterations[0][1]
     assert not first_feedback.approved
@@ -57,8 +68,8 @@ def test_never_converging_agent_falls_back(episode_catalog, episode_index):
     assert trace.exhausted is True
     assert trace.fallback_applied is True
     initial = trace.iterations[0][0]
-    assert [serialize_actions_for(a) for a in trace.final.conditional_actions()] == \
-        [serialize_actions_for(a) for a in initial.conditional_actions()]
+    assert [serialize_actions_for(a) for a in conditionals(trace.final)] == \
+        [serialize_actions_for(a) for a in conditionals(initial)]
 
 
 def serialize_actions_for(action) -> str:
@@ -154,17 +165,48 @@ def test_render_schema_excludes_columns(episode_catalog):
     assert "directed_by" in reduced
 
 
-def test_reduce_schema_identity_on_empty_set(episode_catalog):
-    ctx = build_context(episode_catalog, QUESTION)
-    assert reduce_schema(ctx, set()) == ctx
+class ViewRecordingAgent(ScriptedAgent):
+    """Records the schema view of every context the loop hands it."""
+
+    def __init__(self, script: dict):
+        super().__init__(script)
+        self.views: list[str] = []
+
+    def generate(self, ctx):
+        self.views.append(ctx.schema_view)
+        return super().generate(ctx)
+
+    def refine(self, ctx, prior, feedback):
+        self.views.append(ctx.schema_view)
+        return super().refine(ctx, prior, feedback)
 
 
-def test_reduce_schema_keeps_emptied_table_header(episode_catalog):
-    ctx = build_context(episode_catalog, QUESTION)
-    all_network = {("network", "id"), ("network", "name")}
-    reduced = reduce_schema(ctx, all_network)
-    assert "table network:" in reduced.schema_view
-    assert "name (TEXT)" not in reduced.schema_view
+def test_refine_sees_the_schema_without_mismatched_columns(episode_catalog, episode_index):
+    agent = ViewRecordingAgent({QUESTION: [MISMATCH_ACTIONS, FIXED_ACTIONS]})
+    run(QUESTION, episode_catalog, episode_index, (), agent)
+    first, second = agent.views
+    assert first == render_schema(episode_catalog)
+    assert "written_by" in first
+    assert "written_by" not in second and "directed_by" in second
+    assert second == render_schema(episode_catalog, frozenset({("episode", "written_by")}))
+
+
+def test_refine_keeps_the_schema_view_without_exclusions(episode_catalog, episode_index):
+    agent = ViewRecordingAgent({QUESTION: ["complete garbage ((", CLEAN_ACTIONS]})
+    run(QUESTION, episode_catalog, episode_index, (), agent)
+    assert agent.views == [render_schema(episode_catalog)] * 2
+
+
+def test_refine_keeps_the_header_of_an_emptied_table(tmp_db):
+    db = tmp_db("CREATE TABLE episode (id INTEGER PRIMARY KEY, title TEXT);"
+                "CREATE TABLE network (name TEXT);",
+                {"episode": [(1, "Pilot")], "network": [("Fox",), ("ABC",)]})
+    catalog = load_catalog(db)
+    mismatch = 'add_select(name)\nadd_from(network)\nadd_where(name, =, "fox tv")'
+    agent = ViewRecordingAgent({QUESTION: [mismatch, CLEAN_ACTIONS]})
+    run(QUESTION, catalog, build_cell_index(catalog, db), (), agent)
+    assert agent.views[0].splitlines()[1] == "table network: name (TEXT)"
+    assert agent.views[1].splitlines()[1] == "table network: "
 
 
 def test_resolve_qa_without_qa_is_identity(episode_catalog, episode_index):
@@ -199,7 +241,7 @@ def test_resolve_qa_depth_cap(episode_catalog):
     })
     seq = parse_actions('qa("outer")').sequence
     ctx = build_context(episode_catalog, QUESTION)
-    _, findings = resolve_qa(seq, agent, ctx, max_depth=2)
+    _, findings = resolve_qa(seq, agent, ctx)
     assert [f.kind for f in findings] == [UNRESOLVED_SUB_QUESTION]
 
 
@@ -213,10 +255,10 @@ def test_replay_determinism_byte_identical_traces(episode_catalog, episode_index
 
 
 def test_config_bounds():
-    with pytest.raises(ValueError):
-        RefinementConfig(max_iterations=11)
-    with pytest.raises(ValueError):
-        RefinementConfig(max_iterations=-1)
+    for bad in ({"max_iterations": 11}, {"max_iterations": -1}, {"max_iterations": True},
+                {"candidate_k": -1}, {"candidate_k": True}):
+        with pytest.raises(ValueError):
+            RefinementConfig(**bad)
 
 
 def test_zero_max_iterations_single_shot(episode_catalog, episode_index):
@@ -285,13 +327,14 @@ def test_resolve_qa_calls_the_agent_depth_first(episode_catalog):
         ("s.0.qa", "s.0.qa.0.qa", "s.1.qa")
 
 
-def test_resolve_qa_depth_limit_and_failure_findings(episode_catalog):
+def test_resolve_qa_depth_limit_and_failure_findings(episode_catalog, monkeypatch):
     # merge children do not count toward the depth; qa children do
+    monkeypatch.setattr(orchestrator, "MAX_QA_DEPTH", 1)
     agent = RecordingAgent({"m": ['qa("m2")'], "q1": ['qa("q1a")\nqa("q1b")']})
     seq = parse_actions('add_merge(UNION):\n    left:\n        qa("m")\n'
                         '    right:\n        qa("lost")\nqa("q1")').sequence
     ctx = build_context(episode_catalog, QUESTION)
-    _, findings = resolve_qa(seq, agent, ctx, max_depth=1)
+    _, findings = resolve_qa(seq, agent, ctx)
     assert agent.questions == ["m", "lost", "q1"]
     assert [f.to_json_dict() for f in findings] == [
         {"kind": UNRESOLVED_SUB_QUESTION, "action_path": [0, "left", 0, "qa", 0],

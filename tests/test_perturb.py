@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -139,6 +140,36 @@ def test_replace_common_value_single_cell_not_applicable(tmp_db):
         value_spans=(ValueSpan(span=Span(6, 10), column="t.v", literal="only"),))
     with pytest.raises(NoApplicableSpan):
         replace_common_value(example, catalog, index, rng_seed=0)
+
+
+def _named(question: str, column: str, *literals: str) -> tuple[ValueSpan, ...]:
+    return tuple(ValueSpan(span=Span(question.index(lit), question.index(lit) + len(lit)),
+                           column=column, literal=lit) for lit in literals)
+
+
+def test_replace_common_value_keeps_values_of_one_column_distinct(episode_catalog,
+                                                                  episode_index):
+    # network.name holds only the two cells the question names, under a
+    # qualified and a bare column name: no cell is left to swap in
+    question = "Which networks are named Fox or ABC?"
+    fox, abc = _named(question, "network.name", "Fox", "ABC")
+    example = AnnotatedExample(
+        question=question, db_id="episodes",
+        gold_sql="SELECT id FROM network WHERE name = 'Fox' OR name = 'ABC'",
+        value_spans=(fox, replace(abc, column="name")))
+    question = "Which episodes were written by Todd Casey or Dan Dworkin?"
+    written = AnnotatedExample(
+        question=question, db_id="episodes",
+        gold_sql=("SELECT title FROM episode WHERE written_by = 'Todd Casey' "
+                  "OR written_by = 'Dan Dworkin'"),
+        value_spans=_named(question, "episode.written_by", "Todd Casey", "Dan Dworkin"))
+    for seed in range(20):
+        with pytest.raises(NoApplicableSpan):
+            replace_common_value(example, episode_catalog, episode_index, rng_seed=seed)
+        out = replace_common_value(written, episode_catalog, episode_index, rng_seed=seed)
+        first, second = (v.literal for v in out.value_spans)
+        assert second == "Dan Dworkin"
+        assert first not in ("Todd Casey", "Dan Dworkin")
 
 
 @pytest.mark.parametrize("gold, expected", [

@@ -13,10 +13,10 @@ from sqlmend.retriever import (
     Matched,
     Mismatch,
     NotApplicable,
+    TrigramBackend,
     check_condition,
     inspect_sequence,
     rank_candidates,
-    similarity,
 )
 from sqlmend.schema_catalog import ColumnCells, normalize_cell
 
@@ -32,6 +32,10 @@ def where(column: str, op: str, value) -> AddWhere:
     else:
         literal = Literal(kind="number", value=value)
     return AddWhere(column=ColumnRef(column=column, table=table), op=op, value=literal)
+
+
+def similarity(a: str, b: str) -> float:
+    return TrigramBackend().score(a, [b])[0]
 
 
 def test_similarity_identity():

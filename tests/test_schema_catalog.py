@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sqlmend.schema_catalog
 from sqlmend.actions import parse_actions
 from sqlmend.detector import detect
 from sqlmend.orchestrator import verdict_to_json
@@ -129,8 +130,6 @@ def test_a_directory_is_not_a_database(tmp_path):
 
 def test_database_builds_on_first_use_and_keeps_the_path_as_given(tmp_path, monkeypatch,
                                                                  episode_db):
-    import sqlmend.schema_catalog
-
     missing = Database(tmp_path / "nope.sqlite")  # nothing is opened yet
     with pytest.raises(FileNotFoundError):
         missing.index
@@ -251,11 +250,12 @@ def test_index_raw_count_at_least_normalized_count(episode_index):
         assert list(cells) == sorted(set(cells))
 
 
-def test_index_cap_keeps_most_frequent(tmp_db):
+def test_index_cap_keeps_most_frequent(tmp_db, monkeypatch):
     rows = [("common",)] * 5 + [("rare",)] + [("middling",)] * 2
     db = tmp_db("CREATE TABLE t (v TEXT);", {"t": rows})
     catalog = load_catalog(db)
-    cells = build_cell_index(catalog, db, cap=2).column_cells("t", "v")
+    monkeypatch.setattr(sqlmend.schema_catalog, "DEFAULT_CELL_CAP", 2)
+    cells = build_cell_index(catalog, db).column_cells("t", "v")
     assert set(cells.cells) == {"common", "middling"}
 
 
