@@ -62,6 +62,10 @@ def _load_config_file(path: str | None) -> dict:
         data = json.load(handle)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
+    known = ("max_iterations", "candidate_k")
+    unknown = sorted(set(data) - set(known))
+    if unknown:  # a misspelt key would otherwise run the default silently
+        raise ValueError(f"unknown config keys {unknown}; use {list(known)}")
     return data
 
 
@@ -78,9 +82,7 @@ def _agent_factory(spec: str):
 
 
 def _refinement_config(args, config_file: dict) -> RefinementConfig:
-    # a key the file leaves out keeps RefinementConfig's default
-    counts = {key: config_file[key] for key in ("max_iterations", "candidate_k")
-              if key in config_file}
+    counts = dict(config_file)  # a key the file leaves out keeps RefinementConfig's default
     if args.max_iter is not None:
         counts["max_iterations"] = args.max_iter
     return RefinementConfig(
@@ -231,6 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Inspect, refine, assemble and score SQL construction actions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    loop = argparse.ArgumentParser(add_help=False)  # the refinement flags of refine and eval
+    loop.add_argument("--max-iter", type=int, default=None)
+    loop.add_argument("--no-retriever", action="store_true")
+    feedback = loop.add_mutually_exclusive_group()
+    feedback.add_argument("--no-detector", action="store_true")
+    feedback.add_argument("--dbms-feedback", action="store_true")
+    loop.add_argument("--config", help="JSON object setting max_iterations and candidate_k")
+
     p = sub.add_parser("schema", help="print the catalog of a database as JSON")
     p.add_argument("db")
     p.set_defaults(func=_cmd_schema)
@@ -255,17 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connectives", help="comma-separated AND/OR plan for WHERE")
     p.set_defaults(func=_cmd_assemble)
 
-    p = sub.add_parser("refine", help="run the inspect-and-refine loop for a question")
+    p = sub.add_parser("refine", parents=[loop],
+                       help="run the inspect-and-refine loop for a question")
     p.add_argument("db")
     p.add_argument("--question", required=True)
     p.add_argument("--agent", required=True, help="'http' or 'replay:<file>'")
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--no-retriever", action="store_true")
-    p.add_argument("--no-detector", action="store_true")
-    p.add_argument("--dbms-feedback", action="store_true")
     p.add_argument("--rules")
     p.add_argument("--trace-out")
-    p.add_argument("--config")
     p.set_defaults(func=_cmd_refine)
 
     p = sub.add_parser("postprocess", help="rewrite condition literals onto database cells")
@@ -274,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-score", type=float, default=0.0)
     p.set_defaults(func=_cmd_postprocess)
 
-    p = sub.add_parser("eval", help="score predictions against a dataset")
+    p = sub.add_parser("eval", parents=[loop], help="score predictions against a dataset")
     p.add_argument("dataset")
     p.add_argument("--pred", required=True, help="'pipeline' or 'file:<path>'")
     p.add_argument("--agent")
@@ -282,11 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db-root")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_S)
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--no-retriever", action="store_true")
-    p.add_argument("--no-detector", action="store_true")
-    p.add_argument("--dbms-feedback", action="store_true")
-    p.add_argument("--config")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("perturb", help="machine-perturb an annotated JSONL dataset")

@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 import re
 import sqlite3
-import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import combinations
 from pathlib import Path
 from typing import Callable
 
@@ -37,7 +37,7 @@ from .actions import (
     value_literals,
     walk_levels,
 )
-from .schema_catalog import Resolution, SchemaCatalog, connect_readonly
+from .schema_catalog import Resolution, SchemaCatalog
 
 UNKNOWN_TABLE = "UnknownTable"
 UNKNOWN_COLUMN = "UnknownColumn"
@@ -205,27 +205,13 @@ def _bfs_distances(graph: dict[str, set[str]], source: str) -> dict[str, int]:
     return distances
 
 
-def _on_shortest_path(graph: dict[str, set[str]], table: str,
-                      endpoints: list[str]) -> bool:
-    if table in endpoints:
-        return True
-    dist_from_table = _bfs_distances(graph, table)
-    for i, a in enumerate(endpoints):
-        dist_from_a = _bfs_distances(graph, a)
-        for b in endpoints[i + 1:]:
-            if b not in dist_from_a or table not in dist_from_a or table not in dist_from_table:
-                continue
-            if dist_from_a[table] + dist_from_table.get(b, 1 << 30) == dist_from_a[b]:
-                return True
-    return False
-
-
-def _literal_is_numeric(literal: Literal) -> bool:
-    if literal.kind == "number":
-        return True
-    if literal.kind == "text":
-        return bool(NUMBER_RE.match(literal.value.strip()))
-    return False
+def _bridges(distances: dict[str, dict[str, int]], table: str) -> bool:
+    """Whether `table` lies on a shortest FK path between two payload
+    tables; `distances` holds one BFS map per payload table, and the graph
+    is undirected, so d(table, b) = d(b, table)."""
+    return any(table in distances[a] and b in distances[a]
+               and distances[a][table] + distances[b][table] == distances[a][b]
+               for a, b in combinations(distances, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -267,22 +253,18 @@ def _detect_level(level: ActionSequence, prefix: tuple, catalog: SchemaCatalog,
     from_path, from_action = first.get(AddFrom, (None, None))
     from_tables = list(from_action.tables) if from_action else []
     joins = list(from_action.joins) if from_action else []
+    scope = [(t, catalog.table(t)) for t in from_tables]
+    endpoints = [(ref, catalog.table(ref.table))
+                 for join in joins for ref in (join.left, join.right)]
 
-    # (a) table existence
-    for t in from_tables:
-        if catalog.table(t) is None:
-            emit(UNKNOWN_TABLE, from_path, f"table {t!r} does not exist", table=t)
-    for use in uses:
-        if use.ref.table is not None and catalog.table(use.ref.table) is None:
-            emit(UNKNOWN_TABLE, use.path, f"table {use.ref.table!r} does not exist",
-                 table=use.ref.table)
-    join_refs: list[tuple[ColumnRef, tuple]] = []
-    for join in joins:
-        for ref in (join.left, join.right):
-            join_refs.append((ref, from_path))
-            if catalog.table(ref.table) is None:
-                emit(UNKNOWN_TABLE, from_path, f"table {ref.table!r} does not exist",
-                     table=ref.table)
+    # (a) table existence: FROM tables, then column-use tables, then join endpoints
+    named = [(t, from_path, table) for t, table in scope]
+    named += [(use.ref.table, use.path, catalog.table(use.ref.table))
+              for use in uses if use.ref.table is not None]
+    named += [(ref.table, from_path, table) for ref, table in endpoints]
+    for name, path, table in named:
+        if table is None:
+            emit(UNKNOWN_TABLE, path, f"table {name!r} does not exist", table=name)
 
     def resolve(ref: ColumnRef) -> Resolution:
         return catalog.resolve(ref.table, ref.column, from_tables)
@@ -304,14 +286,10 @@ def _detect_level(level: ActionSequence, prefix: tuple, catalog: SchemaCatalog,
                  f"column {use.ref.text()!r} matches more than one table in scope",
                  column=use.ref.text())
         # unknown_table already reported in (a)
-    join_endpoint_tables: set[str] = set()
-    for ref, path in join_refs:
-        table = catalog.table(ref.table)
-        if table is None:
-            continue
-        join_endpoint_tables.add(table.name.lower())
-        if table.column(ref.column) is None:
-            emit(UNKNOWN_COLUMN, path, f"column {ref.text()!r} does not resolve",
+    join_endpoint_tables = {table.name.lower() for _ref, table in endpoints if table}
+    for ref, table in endpoints:
+        if table is not None and table.column(ref.column) is None:
+            emit(UNKNOWN_COLUMN, from_path, f"column {ref.text()!r} does not resolve",
                  column=ref.text())
 
     # (c) foreign-key consistency of joins
@@ -332,7 +310,7 @@ def _detect_level(level: ActionSequence, prefix: tuple, catalog: SchemaCatalog,
     payload_tables: dict[str, tuple] = {}
     for use, table, _column in resolved_uses:
         payload_tables.setdefault(table.name.lower(), use.path)
-    scope_lower = {catalog.table(t).name.lower() for t in from_tables if catalog.table(t)}
+    scope_lower = {table.name.lower() for _t, table in scope if table}
     referenced_lower = set(payload_tables) | join_endpoint_tables
     for table_lower in sorted(referenced_lower - scope_lower):
         path = from_path if from_path is not None else payload_tables.get(table_lower, prefix + (0,))
@@ -345,15 +323,10 @@ def _detect_level(level: ActionSequence, prefix: tuple, catalog: SchemaCatalog,
                     for _path, action in kinds.get(AddSelect, ()) for item in action.items)
     if not star_used and not resolution_failed:
         graph = _fk_graph(catalog)
-        payload_list = sorted(payload_tables)
-        for t in from_tables:
-            table = catalog.table(t)
-            if table is None:
-                continue
-            lower = table.name.lower()
-            if lower in payload_tables:
-                continue
-            if _on_shortest_path(graph, lower, payload_list):
+        distances = {a: _bfs_distances(graph, a) for a in payload_tables}
+        for t, table in scope:
+            if table is None or table.name.lower() in payload_tables \
+                    or _bridges(distances, table.name.lower()):
                 continue
             emit(JOIN_REDUNDANCY, from_path,
                  f"table {t!r} contributes no columns and bridges no referenced tables",
@@ -370,7 +343,7 @@ def _detect_level(level: ActionSequence, prefix: tuple, catalog: SchemaCatalog,
                      f"text column {ref.text()!r} compared to numeric literal {literal.value!r}",
                      column=ref.text(), literal=str(literal.value))
             elif column.affinity in NUMERIC_AFFINITIES and literal.kind == "text" \
-                    and not _literal_is_numeric(literal):
+                    and not NUMBER_RE.match(literal.value.strip()):
                 emit(TYPE_MISMATCH, use.path,
                      f"numeric column {ref.text()!r} compared to non-numeric text {literal.value!r}",
                      column=ref.text(), literal=literal.value)
@@ -489,6 +462,7 @@ def detect_via_dbms(seq: ActionSequence, db_path: str | Path) -> list[DetectorFi
     construction; kept for side-by-side comparison runs.
     """
     from .assembler import AssemblyError, assemble
+    from .evaluation import QueryTimeout, execute_sql
 
     try:
         sql = assemble(seq)
@@ -497,32 +471,23 @@ def detect_via_dbms(seq: ActionSequence, db_path: str | Path) -> list[DetectorFi
                                 detail=f"assembly failed: {exc}",
                                 machine_data={"error": str(exc)})]
     try:
-        conn = connect_readonly(db_path)
-    except sqlite3.Error as exc:
-        return [DetectorFinding(kind=EXECUTION_ERROR, action_path=(),
-                                detail=str(exc), machine_data={"error": str(exc)})]
-    deadline = time.monotonic() + DBMS_TIMEOUT_S
-    conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 1000)
-    try:
-        conn.execute(sql).fetchmany(DBMS_ROW_CAP)
-    except sqlite3.Error as exc:
+        execute_sql(db_path, sql, DBMS_TIMEOUT_S, max_rows=DBMS_ROW_CAP)
+    except (sqlite3.Error, QueryTimeout) as exc:
         return [_engine_error_finding(str(exc), sql)]
-    finally:
-        conn.close()
     return []
+
+
+# the finding kind of an engine message, by the first fragment it contains
+_ENGINE_ERROR_KINDS = (
+    ("no such table", UNKNOWN_TABLE),
+    ("no such column", UNKNOWN_COLUMN),
+    ("ambiguous column", AMBIGUOUS_COLUMN),
+)
 
 
 def _engine_error_finding(message: str, sql: str) -> DetectorFinding:
     lowered = message.lower()
-    data = {"error": message, "sql": sql}
-    if "no such table" in lowered:
-        return DetectorFinding(kind=UNKNOWN_TABLE, action_path=(), detail=message,
-                               machine_data=data)
-    if "no such column" in lowered:
-        return DetectorFinding(kind=UNKNOWN_COLUMN, action_path=(), detail=message,
-                               machine_data=data)
-    if "ambiguous column" in lowered:
-        return DetectorFinding(kind=AMBIGUOUS_COLUMN, action_path=(), detail=message,
-                               machine_data=data)
-    return DetectorFinding(kind=EXECUTION_ERROR, action_path=(), detail=message,
-                           machine_data=data)
+    kind = next((kind for fragment, kind in _ENGINE_ERROR_KINDS if fragment in lowered),
+                EXECUTION_ERROR)
+    return DetectorFinding(kind=kind, action_path=(), detail=message,
+                           machine_data={"error": message, "sql": sql})

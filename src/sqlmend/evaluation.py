@@ -106,19 +106,20 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 
 
-def execute_sql(db_path: str | Path, sql: str,
-                timeout_s: float = DEFAULT_TIMEOUT_S) -> list[tuple]:
-    """Run one query read-only with a wall-clock bound."""
+def execute_sql(db_path: str | Path, sql: str, timeout_s: float = DEFAULT_TIMEOUT_S,
+                max_rows: int | None = None) -> list[tuple]:
+    """Run one query read-only with a wall-clock bound; fetch at most
+    `max_rows` rows, or all of them when it is None."""
     conn = connect_readonly(db_path)
     deadline = time.monotonic() + timeout_s
     conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 10_000)
     try:
-        try:
-            return conn.execute(sql).fetchall()
-        except sqlite3.OperationalError as exc:
-            if "interrupted" in str(exc).lower():
-                raise QueryTimeout(f"query exceeded {timeout_s}s") from exc
-            raise
+        cursor = conn.execute(sql)
+        return cursor.fetchall() if max_rows is None else cursor.fetchmany(max_rows)
+    except sqlite3.OperationalError as exc:
+        if "interrupted" in str(exc).lower():
+            raise QueryTimeout(f"query exceeded {timeout_s}s") from exc
+        raise
     finally:
         conn.close()
 
@@ -410,8 +411,8 @@ def file_predictor(path: str | Path, examples: list[EvalExample]) -> Callable[[E
     return predict
 
 
-def pipeline_predictor(agent_factory, db_root: str | Path, *, config=None,
-                       rules=()) -> Callable[[EvalExample], str]:
+def pipeline_predictor(agent_factory, db_root: str | Path, *,
+                       config=None) -> Callable[[EvalExample], str]:
     """Predict by running the full inspect-and-refine pipeline per example
     against the example's own database.
 
@@ -426,8 +427,7 @@ def pipeline_predictor(agent_factory, db_root: str | Path, *, config=None,
 
     def predict(example: EvalExample) -> str:
         agent = agent_factory()
-        trace = run(example.question, example.db.catalog, example.db.index, rules, agent,
-                    config)
+        trace = run(example.question, example.db.catalog, example.db.index, (), agent, config)
         plan = predict_connectives(trace.final, example.question, agent)
         return assemble(trace.final, plan)
 
@@ -464,14 +464,12 @@ def score_examples(examples: list[EvalExample], predictor: Callable[[EvalExample
             from .postprocess import rewrite
 
             predicted = rewrite(predicted, example.db.catalog, example.db.index)
+        error = None
         try:
             ex_flag = execution_accuracy(predicted, example.gold_sql, example.db.path,
                                          timeout_s=timeout_s)
-            error = None
         except GoldExecutionError as exc:
-            return ExampleResult(id=example.id, ex=None, em=exact_match(predicted, example.gold_sql),
-                                 error=f"gold execution failed: {exc}",
-                                 predicted_sql=predicted)
+            ex_flag, error = None, f"gold execution failed: {exc}"
         return ExampleResult(id=example.id, ex=ex_flag,
                              em=exact_match(predicted, example.gold_sql),
                              error=error, predicted_sql=predicted)

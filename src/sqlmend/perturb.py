@@ -224,6 +224,8 @@ def replace_common_value(example: AnnotatedExample, catalog: SchemaCatalog,
             continue
         new_cell = random.Random(rng_seed).choice(candidates)
         new_gold = _replace_sql_literal(example.gold_sql, value.literal, new_cell)
+        if new_gold is None:  # no string literal of the gold holds the value
+            continue
         spliced = _splice(example, value.span, new_cell)
         value_spans = tuple(
             replace(v, literal=new_cell) if v.span.start == value.span.start else v
@@ -238,14 +240,17 @@ def _resolved_column(catalog: SchemaCatalog, text: str) -> tuple[str, str] | Non
     return (found.table.name, found.column.name) if found.status == "ok" else None
 
 
-def _replace_sql_literal(sql: str, old: str, new: str) -> str:
-    for token in tokenize(sql):
-        if token.kind in STRING_KINDS and unquote(token) == old:
-            return sql[:token.start] + quote(new, token.text[0]) + sql[token.end:]
-    position = sql.find(old)
-    if position == -1:
-        return sql
-    return sql[:position] + new + sql[position + len(old):]
+def _replace_sql_literal(sql: str, old: str, new: str) -> str | None:
+    """`sql` with `old` replaced by `new` inside one string literal: the
+    first literal equal to `old`, else the first that contains it (so
+    `'%Fire%'` keeps its wildcards); None when no literal holds `old`."""
+    literals = [token for token in tokenize(sql) if token.kind in STRING_KINDS]
+    holder = next((t for t in literals if unquote(t) == old), None) \
+        or next((t for t in literals if old in unquote(t)), None)
+    if holder is None:
+        return None
+    body = unquote(holder).replace(old, new, 1)
+    return sql[:holder.start] + quote(body, holder.text[0]) + sql[holder.end:]
 
 
 DISTURBANCE_KINDS = ("remove_column", "remove_highlight", "replace_value")

@@ -367,6 +367,16 @@ UNUSABLE_INPUT = {
     "refine-max-iterations-not-a-number": (lambda t, db: [
         "refine", str(db), "--question", "q", "--agent", _replay(t, {"q": CLEAN_ACTIONS}),
         "--config", _file(t / "c.json", {"max_iterations": "3"})], "ValueError"),
+    "refine-config-unknown-key": (lambda t, db: [
+        "refine", str(db), "--question", "q", "--agent", _replay(t, {"q": CLEAN_ACTIONS}),
+        "--config", _file(t / "c.json", {"max_iteration": 0})], "ValueError"),
+    "refine-no-detector-with-dbms-feedback": (lambda t, db: [
+        "refine", str(db), "--question", "q", "--agent", _replay(t, {"q": CLEAN_ACTIONS}),
+        "--no-detector", "--dbms-feedback"], 2),
+    "eval-no-detector-with-dbms-feedback": (lambda t, db: [
+        "eval", _dataset(t, db, {"question": "q", "gold_sql": "SELECT 1", "db_id": "d"}),
+        "--pred", "pipeline", "--agent", _replay(t, {"q": CLEAN_ACTIONS}),
+        "--no-detector", "--dbms-feedback"], 2),
     "refine-http-without-endpoint": (lambda t, db: [
         "refine", str(db), "--question", "q", "--agent", "http"], "AgentFailure"),
     "postprocess-missing-sql-file": (lambda t, db: [

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import os
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqlmend.actions import parse_actions
 from sqlmend.detector import (
@@ -19,6 +22,8 @@ from sqlmend.detector import (
     UNKNOWN_COLUMN,
     UNKNOWN_TABLE,
     InvalidRuleConfig,
+    _bfs_distances,
+    _bridges,
     detect,
     detect_via_dbms,
     load_rules,
@@ -324,3 +329,73 @@ def test_dbms_mode_reports_generic_execution_errors(episode_db):
     seq = seq_of("add_having(COUNT(*), >, 1)\nadd_select(title)\nadd_from(episode)")
     findings = detect_via_dbms(seq, episode_db)
     assert [f.kind for f in findings] == [EXECUTION_ERROR]
+
+
+def test_dbms_mode_reports_a_timeout_as_an_execution_error(monkeypatch, tmp_db):
+    import sqlmend.detector as detector
+
+    rows = [(i,) for i in range(200)]
+    db = tmp_db("CREATE TABLE a (x INTEGER); CREATE TABLE b (y INTEGER);", {"a": rows, "b": rows})
+    # 40,000 joined rows take far more than one progress-handler interval
+    seq = seq_of("add_select(COUNT(*))\nadd_from(a, b)")
+    monkeypatch.setattr(detector, "DBMS_TIMEOUT_S", 0.0)
+    findings = detect_via_dbms(seq, db)
+    assert [(f.kind, f.detail) for f in findings] == [(EXECUTION_ERROR, "query exceeded 0.0s")]
+    assert "COUNT(*)" in findings[0].machine_data["sql"]
+
+
+def test_dbms_mode_reports_an_unopenable_database_with_its_sql(tmp_path):
+    findings = detect_via_dbms(seq_of("add_select(title)\nadd_from(episode)"),
+                               tmp_path / "missing.sqlite")
+    assert [f.kind for f in findings] == [EXECUTION_ERROR]
+    assert findings[0].machine_data == {"error": findings[0].detail,
+                                        "sql": "SELECT title FROM episode"}
+    assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# The bridge rule against a BFS-per-candidate oracle
+# ---------------------------------------------------------------------------
+
+
+def _on_shortest_path_oracle(graph: dict[str, set[str]], table: str,
+                             endpoints: list[str]) -> bool:
+    """The bridge rule as a fresh BFS from the candidate and from every
+    endpoint, per candidate."""
+    if table in endpoints:
+        return True
+    dist_from_table = _bfs_distances(graph, table)
+    for i, a in enumerate(endpoints):
+        dist_from_a = _bfs_distances(graph, a)
+        for b in endpoints[i + 1:]:
+            if b not in dist_from_a or table not in dist_from_a or table not in dist_from_table:
+                continue
+            if dist_from_a[table] + dist_from_table.get(b, 1 << 30) == dist_from_a[b]:
+                return True
+    return False
+
+
+@st.composite
+def _fk_graphs(draw):
+    """An undirected FK graph of 1-7 tables, connected or not, and the
+    payload tables (a sorted subset) of one level over it."""
+    names = [f"t{i}" for i in range(draw(st.integers(1, 7)))]
+    pairs = list(combinations(names, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    graph: dict[str, set[str]] = {name: set() for name in names}
+    for a, b in edges:
+        graph[a].add(b)
+        graph[b].add(a)
+    payload = sorted(draw(st.sets(st.sampled_from(names))))
+    return graph, payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fk_graphs())
+def test_bridge_rule_agrees_with_a_bfs_per_candidate(case):
+    graph, payload = case
+    distances = {a: _bfs_distances(graph, a) for a in payload}
+    for table in graph:
+        if table not in payload:  # the detector asks only about non-payload tables
+            assert _bridges(distances, table) == \
+                _on_shortest_path_oracle(graph, table, payload), (graph, payload, table)

@@ -11,6 +11,7 @@ from sqlmend.evaluation import (
     DatasetFormatError,
     GoldExecutionError,
     exact_match,
+    execute_sql,
     execution_accuracy,
     file_predictor,
     has_top_level_order_by,
@@ -397,3 +398,9 @@ def test_report_text_table(toy_dataset):
     report = run_benchmark(toy_dataset, lambda ex: ex.gold_sql)
     table = report.format_table()
     assert "EX 3/3" in table
+
+
+def test_execute_sql_fetches_at_most_max_rows(episode_db):
+    sql = "SELECT id FROM episode ORDER BY id"
+    assert execute_sql(episode_db, sql) == [(1,), (2,), (3,), (4,), (5,)]
+    assert execute_sql(episode_db, sql, max_rows=2) == [(1,), (2,)]

@@ -195,6 +195,31 @@ def test_replace_common_value_replaces_a_whole_string_token(tmp_db, gold, expect
     assert out.gold_sql == expected
 
 
+def test_replace_common_value_edits_only_a_string_literal(episode_catalog, episode_index):
+    # "a" occurs in the identifier `name` before the pattern '%a%'
+    question = "Which networks have an a in the name?"
+    example = AnnotatedExample(
+        question=question, db_id="episodes",
+        gold_sql="SELECT name FROM network WHERE name LIKE '%a%'",
+        value_spans=(ValueSpan(span=Span(question.index(" a ") + 1, question.index(" a ") + 2),
+                               column="network.name", literal="a"),))
+    out = replace_common_value(example, episode_catalog, episode_index, rng_seed=0)
+    new = out.value_spans[0].literal
+    assert new in ("Fox", "ABC")
+    assert out.question == f"Which networks have an {new} in the name?"
+    assert out.gold_sql == f"SELECT name FROM network WHERE name LIKE '%{new}%'"
+
+
+def test_replace_common_value_skips_a_value_no_string_literal_holds(episode_catalog,
+                                                                     episode_index):
+    question = "What is the id of Fox?"
+    example = AnnotatedExample(
+        question=question, db_id="episodes", gold_sql="SELECT id FROM network WHERE id = 1",
+        value_spans=_named(question, "network.name", "Fox"))
+    with pytest.raises(NoApplicableSpan):
+        replace_common_value(example, episode_catalog, episode_index, rng_seed=0)
+
+
 def test_replaced_gold_still_executes(annotated, episode_db, episode_catalog, episode_index):
     out = replace_common_value(annotated, episode_catalog, episode_index, rng_seed=3)
     assert execution_accuracy(out.gold_sql, out.gold_sql, episode_db) is True
