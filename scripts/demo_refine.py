@@ -48,7 +48,11 @@ def build_demo_db(path: Path) -> Path:
 
 
 def main() -> int:
-    workdir = Path(tempfile.mkdtemp(prefix="sqlmend-demo-"))
+    with tempfile.TemporaryDirectory(prefix="sqlmend-demo-") as workdir:
+        return demo(Path(workdir))
+
+
+def demo(workdir: Path) -> int:
     db_path = build_demo_db(workdir / "episodes.sqlite")
     catalog = load_catalog(db_path)
     index = build_cell_index(catalog, db_path)
@@ -70,9 +74,8 @@ def main() -> int:
     conn = sqlite3.connect(db_path)
     print(f"rows:      {conn.execute(sql).fetchall()}")
     conn.close()
-    print(f"\ntrace JSON written to {workdir / 'trace.json'}")
-    (workdir / "trace.json").write_text(
-        json.dumps(trace.to_json_dict(), indent=2, sort_keys=True), encoding="utf-8")
+    print("\ntrace JSON:")
+    print(json.dumps(trace.to_json_dict(), indent=2, sort_keys=True))
     return 0
 
 

@@ -90,8 +90,12 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    root = Path(tempfile.mkdtemp(prefix="sqlmend-ablation-"))
-    dataset, corrupted, replay = build_benchmark(root, args.n, args.seed)
+    with tempfile.TemporaryDirectory(prefix="sqlmend-ablation-") as root:
+        return ablate(Path(root), args.n, args.seed)
+
+
+def ablate(root: Path, n: int, seed: int) -> int:
+    dataset, corrupted, replay = build_benchmark(root, n, seed)
     db_root = dataset.parent / "database"
 
     def corrupting(ex):
@@ -119,7 +123,7 @@ def main() -> int:
              post_process=False)),
     ]
 
-    print(f"{args.n} perturbed examples (seed {args.seed}) in {root}\n")
+    print(f"{n} perturbed examples (seed {seed})\n")
     print(f"{'configuration':<42} {'EX':>6}")
     print("-" * 50)
     for name, runner in configs:

@@ -144,7 +144,7 @@ def rewrite(sql: str, catalog: SchemaCatalog, index: CellIndex, *,
             continue
         cells = index.column_cells(found.table.name, found.column.name)
         # a literal that already is a cell stays, as the retriever's match does
-        if cells is None or not cells.cells or condition.literal in cells.cells:
+        if cells is None or not cells.cells or condition.literal in cells:
             continue
         best = rank_candidates(condition.literal, cells, 1, backend)[0]
         if best.score < min_score:

@@ -5,14 +5,24 @@ The match test is byte equality against raw cell values, so a Matched
 verdict predicts that the assembled equality condition can select rows.
 Ranking scores cosine similarity over character-trigram profiles of
 normalized text and needs no model or network.
+
+A column's first miss builds its TrigramPostings, an exact inverted index
+from each trigram to the cells that hold it, and caches it on the column's
+ColumnCells. Later misses score only the cells that share a trigram with
+the literal, with the same integer dot products and the same float
+arithmetic as TrigramBackend, so every score and ranking equals the
+brute-force one; cells that share none score 0.0.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from typing import Sequence, Union
 
 from .actions import (
@@ -57,10 +67,15 @@ class NotApplicable:
 ConditionVerdict = Union[Matched, Mismatch, NotApplicable]
 
 
-def _trigram_profile(normalized: str) -> Counter:
-    """Trigram counts of normalized text, padded by two spaces."""
+def _trigrams(normalized: str) -> list[str]:
+    """The trigrams of normalized text, padded by two spaces, in order."""
     padded = f"  {normalized}  "
-    return Counter(padded[i:i + 3] for i in range(len(padded) - 2))
+    return [padded[i:i + 3] for i in range(len(padded) - 2)]
+
+
+def _trigram_profile(normalized: str) -> Counter:
+    """Trigram counts of normalized text."""
+    return Counter(_trigrams(normalized))
 
 
 def _length(profile: Counter) -> float:
@@ -91,17 +106,75 @@ class TrigramBackend:
         return scores
 
 
-_DEFAULT_BACKEND = TrigramBackend()
+class TrigramPostings:
+    """Exact trigram postings of one column's cells: TrigramBackend's
+    ranking without a pass over every cell.
+
+    Each trigram maps to the positions of the cells whose profile holds
+    it, a position repeated once per occurrence, so counting a literal's
+    postings, each repeated by its own weight, gives its integer dot
+    product with every cell. `lengths` holds each cell's profile length.
+    Cells with an empty normalized form post nothing and are listed in
+    `empty`. `cells` must be sorted, as ColumnCells keeps them.
+    """
+
+    def __init__(self, cells: Sequence[str]):
+        self.cells = cells
+        self.grams: dict[str, array] = defaultdict(partial(array, "i"))
+        self.lengths = array("d")
+        self.empty: list[int] = []
+        for i, raw in enumerate(cells):
+            normalized = normalize_cell(raw)
+            if not normalized:
+                self.empty.append(i)
+                self.lengths.append(0.0)
+                continue
+            grams = _trigrams(normalized)
+            # n distinct trigrams weigh 1 each, so _length would give sqrt(n)
+            self.lengths.append(math.sqrt(len(grams)) if len(set(grams)) == len(grams)
+                                else _length(Counter(grams)))
+            for gram in grams:
+                self.grams[gram].append(i)
+
+    def top(self, query: str, k: int) -> list[tuple[str, float]]:
+        """The k best (raw, score) pairs by TrigramBackend's score of the
+        query, in (score desc, raw asc) order."""
+        cells = self.cells
+        query_norm = normalize_cell(query)
+        if query_norm:
+            query_profile = _trigram_profile(query_norm)
+            query_sumsq = sum(w * w for w in query_profile.values())
+            query_length = math.sqrt(query_sumsq)
+            dots: Counter = Counter()
+            for gram, weight in query_profile.items():
+                ids = self.grams.get(gram)
+                if ids is not None:
+                    dots.update(ids * weight)
+            lengths = self.lengths
+            # an equal form has an equal profile, so dot == query_sumsq
+            scores = {i: 1.0 if dot == query_sumsq and normalize_cell(cells[i]) == query_norm
+                      else min(1.0, dot / (query_length * lengths[i]))
+                      for i, dot in dots.items()}
+        else:
+            scores = dict.fromkeys(self.empty, 1.0)
+        # every score here is above 0.0; cells that share no trigram fill the rest
+        ranked = [(raw, -negated) for negated, raw in
+                  heapq.nsmallest(k, [(-score, cells[i]) for i, score in scores.items()])]
+        ranked += islice(((raw, 0.0) for i, raw in enumerate(cells) if i not in scores),
+                         max(0, k - len(ranked)))
+        return ranked
 
 
 def rank_candidates(literal: str, cells, k: int, backend=None) -> tuple[CellCandidate, ...]:
     """Top-k cells of one column by similarity to the literal; strict
-    (score desc, raw asc) ordering for determinism. `backend` is the
-    TrigramBackend that scores them, a shared one when None.
+    (score desc, raw asc) ordering for determinism. A `backend` given
+    scores every cell; otherwise the column's postings rank the literal.
     """
-    backend = backend or _DEFAULT_BACKEND
-    scores = backend.score(literal, cells.cells)
-    ranked = heapq.nsmallest(k, zip(cells.cells, scores), key=lambda pair: (-pair[1], pair[0]))
+    if backend is None:
+        ranked = cells.postings.top(literal, k)
+    else:
+        ranked = heapq.nsmallest(k, zip(cells.cells, backend.score(literal, cells.cells)),
+                                 key=lambda pair: (-pair[1], pair[0]))
     return tuple(
         CellCandidate(table=cells.table, column=cells.column, raw_value=raw, score=score)
         for raw, score in ranked
@@ -146,7 +219,7 @@ def check_condition(action: Action, catalog: SchemaCatalog, index: CellIndex, *,
     if cells is None:
         return Mismatch(candidates=())
     for literal in probes:
-        if literal not in cells.cells:
+        if literal not in cells:
             return Mismatch(candidates=rank_candidates(literal, cells, k))
     return Matched(raw_value=probes[0])
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 import sqlite3
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -189,6 +190,19 @@ class ColumnCells:
     table: str
     column: str
     cells: tuple[str, ...]  # distinct raw values, sorted
+
+    def __contains__(self, value: str) -> bool:
+        """Whether `value` byte-equals a cell, by binary search."""
+        i = bisect_left(self.cells, value)
+        return i < len(self.cells) and self.cells[i] == value
+
+    @cached_property
+    def postings(self):
+        """The retriever's TrigramPostings of these cells, built on first
+        use. From Python 3.12 threads that first use it together may each
+        build it; the results are equal and one is kept."""
+        from .retriever import TrigramPostings  # the retriever imports this module
+        return TrigramPostings(self.cells)
 
 
 class CellIndex:

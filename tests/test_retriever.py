@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqlmend import retriever
@@ -18,7 +20,7 @@ from sqlmend.retriever import (
     inspect_sequence,
     rank_candidates,
 )
-from sqlmend.schema_catalog import ColumnCells, normalize_cell
+from sqlmend.schema_catalog import ColumnCells, Database, normalize_cell
 
 
 def where(column: str, op: str, value) -> AddWhere:
@@ -227,6 +229,62 @@ def test_rank_candidates_equals_brute_force_oracle(raws, literal, k):
     cells = ColumnCells(table="t", column="v", cells=tuple(sorted(raws)))
     ranked = rank_candidates(literal, cells, k)
     assert [(c.raw_value, c.score) for c in ranked] == oracle_rank(literal, cells.cells, k)
+
+
+# repeated trigrams weigh above 1; "aaa a" and "a aaa" have equal profiles
+# but unequal forms, so they score 0.9999999999999999, not 1.0
+_CELL_TEXTS = st.one_of(_TEXTS, st.sampled_from(["aaaa", "abab", "AbAb", "aaa a", "a aaa"]))
+
+
+# a few hundred cells: every concatenation of two of 15-20 texts
+_WIDE = st.lists(_CELL_TEXTS, unique=True, min_size=15, max_size=20).map(
+    lambda texts: list({a + b for a in texts for b in texts}))
+
+
+@given(st.one_of(st.lists(_CELL_TEXTS, unique=True, max_size=12), _WIDE),
+       st.lists(_CELL_TEXTS, min_size=1, max_size=4), st.integers(0, 12))
+@example(["a aaa", "aaa a", "AAA A", "", "!!", "abab", "b"], ["aaa a", "", "?!", "ab ab", "x"], 12)
+@settings(max_examples=150, deadline=None)
+def test_postings_rank_equals_brute_force_over_many_queries(raws, literals, k):
+    cells = ColumnCells(table="t", column="v", cells=tuple(sorted(raws)))
+    built = []
+    for literal in literals:
+        ranked = rank_candidates(literal, cells, k)
+        built.append(cells.postings)
+        assert ranked == rank_candidates(literal, cells, k, backend=TrigramBackend())
+        assert [(c.raw_value, c.score) for c in ranked] == oracle_rank(literal, cells.cells, k)
+    assert all(postings is built[0] for postings in built)
+
+
+def test_first_miss_from_many_threads(tmp_db):
+    names = [(i, f"artist {i:04d} {'ab' * (i % 4)}") for i in range(3000)]
+    path = tmp_db("CREATE TABLE t(id INTEGER PRIMARY KEY, name TEXT);", {"t": names})
+    miss = where("name", "=", "artst 0042")
+    serial_db = Database(path)
+    serial = check_condition(miss, serial_db.catalog, serial_db.index)
+    assert isinstance(serial, Mismatch) and len(serial.candidates) == 5
+
+    db = Database(path)
+    catalog, index = db.catalog, db.index  # the race is on the column's postings
+    barrier = threading.Barrier(16)
+    seen = []
+
+    def use():
+        barrier.wait(timeout=30)
+        seen.append(check_condition(miss, catalog, index))
+
+    threads = [threading.Thread(target=use) for _ in range(16)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [serial] * 16
 
 
 def test_inspect_sequence_no_conditions(episode_catalog, episode_index):

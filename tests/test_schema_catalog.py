@@ -23,6 +23,7 @@ from sqlmend.perturb import (
 from sqlmend.postprocess import rewrite
 from sqlmend.retriever import inspect_sequence, rank_candidates
 from sqlmend.schema_catalog import (
+    ColumnCells,
     CorruptDatabase,
     Database,
     SchemaCatalog,
@@ -248,6 +249,15 @@ def test_index_raw_count_at_least_normalized_count(episode_index):
         cells = episode_index.column_cells(table, column).cells
         assert all(isinstance(cell, str) for cell in cells)
         assert list(cells) == sorted(set(cells))
+
+
+@given(st.lists(st.text(alphabet="aAb \u00e9\U0001f600", max_size=4), unique=True, max_size=12),
+       st.text(alphabet="aAb \u00e9\U0001f600", max_size=4))
+@settings(max_examples=300)
+def test_column_cells_membership_equals_tuple_scan(raws, value):
+    cells = ColumnCells(table="t", column="v", cells=tuple(sorted(raws)))
+    assert (value in cells) == (value in cells.cells)
+    assert all(raw in cells for raw in raws)
 
 
 def test_index_cap_keeps_most_frequent(tmp_db, monkeypatch):
