@@ -151,16 +151,18 @@ class TrigramPostings:
                 if ids is not None:
                     dots.update(ids * weight)
             lengths = self.lengths
-            # an equal form has an equal profile, so dot == query_sumsq
-            scores = {i: 1.0 if dot == query_sumsq and normalize_cell(cells[i]) == query_norm
-                      else min(1.0, dot / (query_length * lengths[i]))
-                      for i, dot in dots.items()}
+            # (-score, raw) per touched cell, made as the heap reads it; an
+            # equal form has an equal profile, so dot == query_sumsq
+            keyed = ((-1.0 if dot == query_sumsq and normalize_cell(cells[i]) == query_norm
+                      else -min(1.0, dot / (query_length * lengths[i])), cells[i])
+                     for i, dot in dots.items())
+            scored = dots.keys()
         else:
-            scores = dict.fromkeys(self.empty, 1.0)
-        # every score here is above 0.0; cells that share no trigram fill the rest
-        ranked = [(raw, -negated) for negated, raw in
-                  heapq.nsmallest(k, [(-score, cells[i]) for i, score in scores.items()])]
-        ranked += islice(((raw, 0.0) for i, raw in enumerate(cells) if i not in scores),
+            keyed = ((-1.0, cells[i]) for i in self.empty)
+            scored = set(self.empty)
+        # scored cells score above 0.0; the others fill the rest with 0.0
+        ranked = [(raw, -key) for key, raw in heapq.nsmallest(k, keyed)]
+        ranked += islice(((raw, 0.0) for i, raw in enumerate(cells) if i not in scored),
                          max(0, k - len(ranked)))
         return ranked
 
