@@ -36,6 +36,12 @@ checkout's package:
     python scripts/differential.py --seed 1 --n 6000
     PYTHONPATH=/path/to/other/src python scripts/differential.py --seed 1 --n 6000
 
+The output of `--seed 1 --n 300` on Python 3.11 is committed as
+scripts/differential_seed1_n300.txt, and CI diffs against it; a change
+that moves a line on purpose rewrites that file:
+
+    python scripts/differential.py --seed 1 --n 300 > scripts/differential_seed1_n300.txt
+
 The default SQL family has terminated quotes and no comments, no bracket
 or backtick identifiers, no keyword, paren or quote of the other style
 inside a literal, and no gold query that carries the replaced value

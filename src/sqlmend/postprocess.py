@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .retriever import TrigramBackend, rank_candidates
+from . import retriever
+# unused here; perfbench/tracing.py still reads and swaps postprocess.TrigramBackend
+from .retriever import TrigramBackend  # noqa: F401
 from .schema_catalog import CellIndex, SchemaCatalog
 from .sqllex import STRING_KINDS, Token, quote, tokenize, unquote
 
@@ -129,7 +131,6 @@ def rewrite(sql: str, catalog: SchemaCatalog, index: CellIndex, *,
     unindexed columns, leave the literal untouched; everything outside
     literal spans is byte-preserved.
     """
-    backend = TrigramBackend()  # read from this module per call, so it can be swapped
     tokens = tokenize(sql)
     tables, aliases = _from_scope(tokens)
     # a query naming no known table leaves the whole catalog as the scope
@@ -146,7 +147,8 @@ def rewrite(sql: str, catalog: SchemaCatalog, index: CellIndex, *,
         # a literal that already is a cell stays, as the retriever's match does
         if cells is None or not cells.cells or condition.literal in cells:
             continue
-        best = rank_candidates(condition.literal, cells, 1, backend)[0]
+        # looked up on the module per call, so a wrapper there sees this ranking
+        best = retriever.rank_candidates(condition.literal, cells, 1)[0]
         if best.score < min_score:
             continue
         replacements.append((condition.start, condition.end,

@@ -6,12 +6,14 @@ verdict predicts that the assembled equality condition can select rows.
 Ranking scores cosine similarity over character-trigram profiles of
 normalized text and needs no model or network.
 
-A column's first miss builds its TrigramPostings, an exact inverted index
-from each trigram to the cells that hold it, and caches it on the column's
-ColumnCells. Later misses score only the cells that share a trigram with
-the literal, with the same integer dot products and the same float
-arithmetic as TrigramBackend, so every score and ranking equals the
-brute-force one; cells that share none score 0.0.
+rank_candidates is the one ranking path, for the retriever's feedback and
+for the post-processing baseline alike. A column's first miss builds its
+TrigramPostings, an exact inverted index from each trigram to the cells
+that hold it, and caches it on the column's ColumnCells. Every miss scores
+only the cells that share a trigram with the literal, with the same
+integer dot products and the same float arithmetic as TrigramBackend, so
+every score and ranking equals the brute-force one; cells that share none
+score 0.0.
 """
 
 from __future__ import annotations
@@ -167,19 +169,13 @@ class TrigramPostings:
         return ranked
 
 
-def rank_candidates(literal: str, cells, k: int, backend=None) -> tuple[CellCandidate, ...]:
-    """Top-k cells of one column by similarity to the literal; strict
-    (score desc, raw asc) ordering for determinism. A `backend` given
-    scores every cell; otherwise the column's postings rank the literal.
-    """
-    if backend is None:
-        ranked = cells.postings.top(literal, k)
-    else:
-        ranked = heapq.nsmallest(k, zip(cells.cells, backend.score(literal, cells.cells)),
-                                 key=lambda pair: (-pair[1], pair[0]))
+def rank_candidates(literal: str, cells, k: int) -> tuple[CellCandidate, ...]:
+    """Top-k cells of one column by similarity to the literal, ranked
+    through the column's postings; strict (score desc, raw asc) ordering
+    for determinism."""
     return tuple(
         CellCandidate(table=cells.table, column=cells.column, raw_value=raw, score=score)
-        for raw, score in ranked
+        for raw, score in cells.postings.top(literal, k)
     )
 
 

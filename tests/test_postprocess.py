@@ -1,9 +1,25 @@
 from __future__ import annotations
 
-from sqlmend import postprocess
+import sys
+import threading
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sqlmend import retriever
 from sqlmend.postprocess import _from_scope, extract_conditions, rewrite
-from sqlmend.schema_catalog import build_cell_index, load_catalog
-from sqlmend.sqllex import tokenize
+from sqlmend.schema_catalog import (
+    CellIndex,
+    ColumnCells,
+    ColumnInfo,
+    Database,
+    SchemaCatalog,
+    TableInfo,
+    build_cell_index,
+    load_catalog,
+)
+from sqlmend.sqllex import quote, tokenize
+from test_retriever import _CELL_TEXTS, _WIDE, oracle_rank
 
 
 def test_extract_single_condition():
@@ -183,18 +199,75 @@ def test_extract_reads_whole_tokens():
 
 
 def test_rewrite_scores_through_the_module_scorer(monkeypatch, episode_catalog, episode_index):
-    # perfbench/tracing.py counts post-processing work by swapping this name
+    # perfbench/tracing.py counts ranking work by swapping this module attribute
     calls = []
+    rank = retriever.rank_candidates
 
-    class CountingBackend(postprocess.TrigramBackend):
-        def score(self, query, texts):
-            calls.append((query, texts))
-            return super().score(query, texts)
+    def counting(literal, cells, k):
+        calls.append((literal, cells, k))
+        return rank(literal, cells, k)
 
-    monkeypatch.setattr(postprocess, "TrigramBackend", CountingBackend)
+    monkeypatch.setattr(retriever, "rank_candidates", counting)
     sql = ("SELECT id FROM episode WHERE written_by = 'Todd Casey' "
            "AND title = 'double down' AND directed_by = 'fred toy'")
     assert rewrite(sql, episode_catalog, episode_index) == sql.replace(
         "'double down'", "'Double Down'").replace("'fred toy'", "'Fred Toye'")
-    assert calls == [("double down", episode_index.column_cells("episode", "title").cells),
-                     ("fred toy", episode_index.column_cells("episode", "directed_by").cells)]
+    # the cell literal 'Todd Casey' is kept without a ranking
+    assert calls == [("double down", episode_index.column_cells("episode", "title"), 1),
+                     ("fred toy", episode_index.column_cells("episode", "directed_by"), 1)]
+
+
+def _where_sql(literals) -> str:
+    return "SELECT v FROM t WHERE " + " AND ".join("v = " + quote(x, "'") for x in literals)
+
+
+@given(st.one_of(st.lists(_CELL_TEXTS, unique=True, max_size=12), _WIDE),
+       st.lists(_CELL_TEXTS, min_size=1, max_size=4), st.sampled_from([0.0, 0.5, 1.0]))
+@settings(max_examples=150, deadline=None)
+def test_rewrite_equals_brute_force_top_cell(raws, literals, min_score):
+    # rewrite ranks through the column's postings; the oracle scores every cell
+    cells = ColumnCells(table="t", column="v", cells=tuple(sorted(raws)))
+    catalog = SchemaCatalog(tables=(TableInfo("t", (ColumnInfo("v", "TEXT"),)),),
+                            foreign_keys=(), source_path="")
+    index = CellIndex({("t", "v"): cells})
+    expected = []
+    for literal in literals:
+        if cells.cells and literal not in cells.cells:
+            [(best, score)] = oracle_rank(literal, cells.cells, 1)
+            if score >= min_score:
+                literal = best
+        expected.append(literal)
+    sql = _where_sql(literals)
+    assert [c.literal for c in extract_conditions(sql)] == literals
+    assert rewrite(sql, catalog, index, min_score=min_score) == _where_sql(expected)
+
+
+def test_first_miss_through_rewrite_from_many_threads(tmp_db):
+    names = [(i, f"artist {i:04d} {'ab' * (i % 4)}") for i in range(3000)]
+    path = tmp_db("CREATE TABLE t(id INTEGER PRIMARY KEY, name TEXT);", {"t": names})
+    sql = "SELECT id FROM t WHERE name = 'artst 0042' OR name = 'artist 0006 abab'"
+    serial_db = Database(path)
+    serial = rewrite(sql, serial_db.catalog, serial_db.index)
+    assert serial == sql.replace("'artst 0042'", "'artist 0042 abab'")
+
+    db = Database(path)
+    catalog, index = db.catalog, db.index  # the race is on the column's postings
+    barrier = threading.Barrier(16)
+    seen = []
+
+    def use():
+        barrier.wait(timeout=30)
+        seen.append(rewrite(sql, catalog, index))
+
+    threads = [threading.Thread(target=use) for _ in range(16)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [serial] * 16
