@@ -47,7 +47,8 @@ or backtick identifiers, no keyword, paren or quote of the other style
 inside a literal, and no gold query that carries the replaced value
 twice; the tests pin those cases one by one. The drafts draw values that
 fit their operator, so most of them parse; a few carry a malformed line,
-a duplicate clause, shuffled clauses, a merge, or a sub-question.
+a duplicate clause (a parse error too), shuffled clauses, a merge, or a
+sub-question.
 
 The episode fixture has one FK edge (pairing.episode_id -> episode.id), so
 no FROM table in a draft ever bridges two referenced tables and `findings`

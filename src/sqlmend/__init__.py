@@ -12,7 +12,6 @@ from .actions import (
     ParseResult,
     parse_actions,
     serialize_actions,
-    validate_shape,
 )
 from .assembler import ConnectivePlan, assemble, predict_connectives
 from .detector import ConstraintRule, DetectorFinding, detect, load_rules
@@ -80,5 +79,4 @@ __all__ = [
     "run",
     "run_benchmark",
     "serialize_actions",
-    "validate_shape",
 ]

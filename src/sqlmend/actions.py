@@ -26,6 +26,11 @@ Grammar summary:
 * ``qa("sub question")`` -- optionally followed by a ``:`` and an
   indented block holding the resolved child sequence.
 
+Each level (the top one, a merge child, a qa block) holds at most one of
+each clause except ``add_where``, ``add_having`` and ``qa``. A level with
+an ``add_merge`` holds besides it only ``add_order_by``, ``add_limit`` and
+``qa``. A line that breaks either rule is an error and is dropped.
+
 Conjunctions (AND/OR) between conditions are deliberately absent from the
 DSL; they are supplied later, at assembly time. Parsing is total: bad
 input never raises, it produces ParseError values alongside whatever did
@@ -178,6 +183,7 @@ Action = Union[AddSelect, AddFrom, AddWhere, AddGroupBy, AddHaving,
 
 CONDITIONAL_KINDS = (AddWhere, AddHaving)
 SINGLETON_KINDS = (AddSelect, AddFrom, AddGroupBy, AddOrderBy, AddLimit, AddMerge)
+CORE_KINDS = (AddSelect, AddFrom, AddWhere, AddGroupBy, AddHaving)
 
 
 @dataclass
@@ -453,6 +459,18 @@ def _logical_lines(text: str) -> list[_Line]:
     return lines
 
 
+def _shape_clash(level: list[Action], action: Action) -> str | None:
+    """Why `action` cannot follow the level's earlier actions, or None."""
+    name = type(action).__name__
+    if isinstance(action, SINGLETON_KINDS) and any(type(a) is type(action) for a in level):
+        return f"more than one {name} at this level"
+    rivals = (CORE_KINDS if isinstance(action, AddMerge)
+              else AddMerge if isinstance(action, CORE_KINDS) else ())
+    other = next((a for a in level if isinstance(a, rivals)), None)
+    return None if other is None else \
+        f"{name} cannot share a level with {type(other).__name__}"
+
+
 class _Parser:
     def __init__(self, lines: list[_Line]):
         self.lines = lines
@@ -476,9 +494,15 @@ class _Parser:
                 self.error(line, "unexpected indentation")
                 self.pos += 1
                 continue
+            mark = len(self.errors)  # a shape error goes before its children's
             action = self.parse_call(line, block_indent)
-            if action is not None:
+            if action is None:
+                continue
+            clash = _shape_clash(actions, action)
+            if clash is None:
                 actions.append(action)
+            else:
+                self.errors.insert(mark, ParseError(line=line.number, reason=clash))
         return actions
 
     def parse_call(self, line: _Line, indent: int) -> Action | None:
@@ -706,55 +730,3 @@ def _sequence_lines(seq: ActionSequence, depth: int) -> list[str]:
 def serialize_actions(seq: ActionSequence) -> str:
     """Canonical text form; parse_actions(serialize_actions(s)) == s."""
     return "\n".join(_sequence_lines(seq, 0))
-
-
-# ---------------------------------------------------------------------------
-# Shape validation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShapeViolation:
-    path: tuple
-    kind: str
-    detail: str
-
-
-def validate_shape(seq: ActionSequence) -> list[ShapeViolation]:
-    """Structural checks: per-level clause multiplicity, merge children,
-    dangling sequence references. Schema-aware checks live elsewhere.
-    """
-    violations: list[ShapeViolation] = []
-    refs: list[tuple[tuple, str]] = []
-    counts: dict[tuple, int] = {}
-    for path, _level, action in walk(seq):
-        if isinstance(action, SINGLETON_KINDS):
-            key = (path[:-1], type(action))
-            counts[key] = counts.get(key, 0) + 1
-            if counts[key] == 2:
-                violations.append(ShapeViolation(
-                    path=path, kind="duplicate_clause",
-                    detail=f"more than one {type(action).__name__} at this level"))
-        if isinstance(action, AddMerge):
-            for label, child in _child_sequences(action):
-                if not child.actions:
-                    violations.append(ShapeViolation(
-                        path=path, kind="empty_merge_child",
-                        detail=f"add_merge {label} child is empty"))
-        elif isinstance(action, CONDITIONAL_KINDS) and isinstance(action.value, SubqueryRef):
-            refs.append((path, action.value.sequence_id))
-    known_ids: set[str] = set()
-    for prefix, level in walk_levels(seq):
-        known_ids.add(level.id)
-        if level.first(AddMerge) is not None and any(
-                isinstance(a, (AddSelect, AddFrom, AddWhere, AddGroupBy, AddHaving))
-                for a in level.actions):
-            violations.append(ShapeViolation(
-                path=prefix, kind="merge_mixed_with_clauses",
-                detail="add_merge cannot share a level with other query clauses"))
-    for path, ref in refs:
-        if ref not in known_ids:
-            violations.append(ShapeViolation(
-                path=path, kind="dangling_reference",
-                detail=f"no sequence with id {ref!r}"))
-    return violations

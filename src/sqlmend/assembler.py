@@ -213,8 +213,12 @@ class _Assembler:
 
 
 def assemble(seq: ActionSequence, plan: ConnectivePlan | None = None) -> str:
-    """Deterministic SQL for a structurally well-formed, fully resolved
-    sequence. An empty or missing plan falls back to all-AND.
+    """Deterministic SQL for a fully resolved sequence of the shape that
+    parse_actions accepts: each singleton clause at most once per level,
+    and no query-core clause beside an add_merge. A level built by hand
+    that breaks this renders its first clause of each kind and drops the
+    query-core clauses beside an add_merge. An empty or missing plan falls
+    back to all-AND.
     """
     return _Assembler(seq).level_sql(seq, plan or ConnectivePlan())
 

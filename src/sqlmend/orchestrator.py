@@ -4,8 +4,9 @@ One run: an agent drafts an action sequence for the question, both
 inspection tools examine it, and the accumulated feedback drives further
 agent calls until every tool approves or the iteration budget runs out.
 Columns whose conditions mismatched are removed from the schema view
-shown to the agent on later iterations, and an exhausted run falls back
-to the first iteration's conditional actions.
+shown to the agent on later iterations, and an exhausted run whose final
+top level holds no add_merge falls back to the first iteration's
+conditional actions.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from time import sleep
 
 from .actions import (
     ActionSequence,
+    AddMerge,
     CONDITIONAL_KINDS,
     ParseError,
     QA,
@@ -349,7 +351,8 @@ def resolve_qa(seq: ActionSequence, agent: AgentInterface,
     """Resolve qa() actions by recursive agent calls on the sub-question.
 
     Recursion past MAX_QA_DEPTH leaves the action unresolved and reports a
-    finding instead.
+    finding instead; so does an agent failure. Each parse error of a
+    sub-answer is a finding at the qa() action's path.
     """
     findings: list[DetectorFinding] = []
     # the walk reads a qa() child only after the action is yielded, so a
@@ -359,20 +362,20 @@ def resolve_qa(seq: ActionSequence, agent: AgentInterface,
         if not isinstance(action, QA) or action.resolved is not None:
             continue
         if path.count("qa") >= MAX_QA_DEPTH:
-            findings.append(DetectorFinding(
-                kind=UNRESOLVED_SUB_QUESTION, action_path=path,
-                detail=f"sub-question depth limit ({MAX_QA_DEPTH}) reached",
-                machine_data={"question": action.sub_question}))
-            continue
-        try:
-            text = agent.generate(replace(ctx, question=action.sub_question))
-        except AgentFailure as exc:
-            findings.append(DetectorFinding(
-                kind=UNRESOLVED_SUB_QUESTION, action_path=path,
-                detail=f"agent failed on sub-question: {exc}",
-                machine_data={"question": action.sub_question}))
-            continue
-        action.resolved = parse_actions(text).sequence
+            problems = [f"sub-question depth limit ({MAX_QA_DEPTH}) reached"]
+        else:
+            try:
+                result = parse_actions(agent.generate(
+                    replace(ctx, question=action.sub_question)))
+            except AgentFailure as exc:
+                problems = [f"agent failed on sub-question: {exc}"]
+            else:
+                action.resolved = result.sequence
+                problems = [f"sub-answer parse error line {e.line}: {e.reason}"
+                            for e in result.errors]
+        findings.extend(DetectorFinding(
+            kind=UNRESOLVED_SUB_QUESTION, action_path=path, detail=detail,
+            machine_data={"question": action.sub_question}) for detail in problems)
     assign_sequence_ids(seq)
     return seq, findings
 
@@ -399,11 +402,7 @@ class RefinementConfig:
 
 
 def _mismatch_columns(feedback: Feedback) -> set[tuple[str, str]]:
-    columns = set()
-    for _path, verdict in feedback.mismatches:
-        for candidate in verdict.candidates[:1]:
-            columns.add((candidate.table, candidate.column))
-    return columns
+    return {(verdict.table, verdict.column) for _path, verdict in feedback.mismatches}
 
 
 def _fallback_conditionals(final: ActionSequence, initial: ActionSequence) -> ActionSequence:
@@ -476,7 +475,9 @@ def run(question: str, catalog: SchemaCatalog, index: CellIndex,
     final_seq, final_feedback = iterations[-1]
     exhausted = agent_failed or not final_feedback.approved
     fallback_applied = False
-    if exhausted and final_feedback.mismatches and len(iterations) > 1:
+    # conditions cannot join a level that holds an add_merge
+    if exhausted and final_feedback.mismatches and len(iterations) > 1 \
+            and final_seq.first(AddMerge) is None:
         final_seq = _fallback_conditionals(final_seq, iterations[0][0])
         fallback_applied = True
     return RefinementTrace(iterations=iterations, final=final_seq, exhausted=exhausted,

@@ -58,6 +58,8 @@ class Matched:
 
 @dataclass(frozen=True)
 class Mismatch:
+    table: str  # the resolved column the literal missed
+    column: str
     candidates: tuple[CellCandidate, ...]
 
 
@@ -214,11 +216,12 @@ def check_condition(action: Action, catalog: SchemaCatalog, index: CellIndex, *,
         return NotApplicable(reason="numeric comparison")
 
     cells = index.column_cells(table_info.name, column_info.name)
+    missed = partial(Mismatch, table=table_info.name, column=column_info.name)
     if cells is None:
-        return Mismatch(candidates=())
+        return missed(candidates=())
     for literal in probes:
         if literal not in cells:
-            return Mismatch(candidates=rank_candidates(literal, cells, k))
+            return missed(candidates=rank_candidates(literal, cells, k))
     return Matched(raw_value=probes[0])
 
 

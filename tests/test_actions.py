@@ -6,20 +6,22 @@ from hypothesis import strategies as st
 from sqlmend.actions import (
     ActionSequence,
     AddFrom,
+    AddGroupBy,
     AddLimit,
     AddMerge,
+    AddOrderBy,
     AddSelect,
     AddWhere,
     ColumnRef,
     Literal,
     LiteralList,
+    ParseError,
     QA,
     SelectItem,
     SubqueryRef,
     assign_sequence_ids,
     parse_actions,
     serialize_actions,
-    validate_shape,
 )
 
 from dsl_strategies import sequences
@@ -144,30 +146,43 @@ def test_serialize_empty_sequence():
     assert serialize_actions(ActionSequence()) == ""
 
 
-def test_validate_shape_duplicate_select():
-    seq = parse_actions("add_select(a)\nadd_select(b)").sequence
-    violations = validate_shape(seq)
-    assert [v.kind for v in violations] == ["duplicate_clause"]
+def test_parse_reports_a_duplicate_select_on_its_line():
+    result = parse_actions("add_select(a)\nadd_select(b)")
+    assert result.errors == [ParseError(line=2, reason="more than one AddSelect at this level")]
+    assert result.sequence.actions == [AddSelect(items=(SelectItem(expression="a"),))]
 
 
-def test_validate_shape_having_without_group_by_is_not_a_shape_issue():
-    seq = parse_actions("add_select(a)\nadd_having(COUNT(*), >, 1)").sequence
-    assert validate_shape(seq) == []
+def test_parse_accepts_having_without_group_by():
+    result = parse_actions("add_select(a)\nadd_having(COUNT(*), >, 1)")
+    assert result.errors == []
+    assert len(result.sequence) == 2
 
 
-def test_validate_shape_empty_merge_child():
-    seq = ActionSequence(actions=[AddMerge(
-        operator="UNION",
-        left=ActionSequence(actions=[AddSelect(items=(SelectItem(expression="a"),))]),
-        right=ActionSequence())])
-    assign_sequence_ids(seq)
-    kinds = [v.kind for v in validate_shape(seq)]
-    assert kinds == ["empty_merge_child"]
+def test_parse_drops_a_second_select_instead_of_keeping_the_first_silently():
+    result = parse_actions("add_from(episode)\nadd_select(title)\nadd_select(air_date)")
+    assert [e.line for e in result.errors] == [3]
+    assert serialize_actions(result.sequence) == "add_from(episode)\nadd_select(title)"
 
 
-def test_validate_shape_dangling_reference():
-    seq = parse_actions("add_where(id, IN, @nowhere)").sequence
-    assert [v.kind for v in validate_shape(seq)] == ["dangling_reference"]
+def test_parse_reports_a_second_limit():
+    result = parse_actions("add_select(a)\nadd_limit(1)\nadd_limit(5)")
+    assert result.errors == [ParseError(line=3, reason="more than one AddLimit at this level")]
+    assert result.sequence.actions[1:] == [AddLimit(count=1)]
+
+
+def test_parse_reports_a_where_beside_a_merge():
+    text = """add_merge(UNION):
+    left:
+        add_select(a)
+    right:
+        add_select(b)
+add_where(a, =, 1)
+add_order_by(a)
+add_limit(3)
+"""
+    result = parse_actions(text)
+    assert result.errors == [ParseError(line=6, reason="AddWhere cannot share a level with AddMerge")]
+    assert [type(a) for a in result.sequence] == [AddMerge, AddOrderBy, AddLimit]
 
 
 def test_sequence_ids_are_positional():
@@ -229,31 +244,38 @@ def test_sequence_ids_cover_nested_and_empty_children():
         ("r.0.left", "r.0.left.1.qa.0.right", "r.0.right.0.qa")
 
 
-def test_validate_shape_reports_in_document_order():
+def test_parse_reports_shape_errors_in_line_order():
+    # a dropped merge's error comes before the errors of its own children
     text = """add_merge(UNION):
     left:
         add_select(a)
         add_select(b)
-        add_where(a, IN, @s.0.left.3.qa)
+        add_where(a, IN, @s.0.left.2.qa)
         qa("q"):
             add_limit(1)
             add_limit(2)
     right:
 add_where(id, IN, @nowhere)
+add_select(c)
+add_merge(EXCEPT):
+    left:
+        add_from(t)
+        add_from(u)
+    right:
+        add_select(d)
 """
-    seq = parse_actions(text).sequence
-    assert [(v.kind, v.path) for v in validate_shape(seq)] == [
-        ("empty_merge_child", (0,)),
-        ("duplicate_clause", (0, "left", 1)),
-        ("duplicate_clause", (0, "left", 3, "qa", 1)),
-        ("merge_mixed_with_clauses", ()),
-        ("dangling_reference", (1,)),
+    result = parse_actions(text)
+    assert [(e.line, e.reason) for e in result.errors] == [
+        (4, "more than one AddSelect at this level"),
+        (8, "more than one AddLimit at this level"),
+        (10, "AddWhere cannot share a level with AddMerge"),
+        (11, "AddSelect cannot share a level with AddMerge"),
+        (12, "more than one AddMerge at this level"),
+        (15, "more than one AddFrom at this level"),
     ]
 
 
-def test_validate_shape_reports_mixed_levels_after_all_action_checks():
-    # merge_mixed_with_clauses is a per-level check made after the walk
-    # over the actions, for each mixed level in pre-order
+def test_parse_reports_mixed_levels_at_the_root_and_in_a_child():
     text = """add_select(a)
 add_merge(UNION):
     left:
@@ -265,11 +287,12 @@ add_merge(UNION):
                 add_select(d)
     right:
         add_select(e)
-add_select(f)
+add_group_by(f)
 """
-    seq = parse_actions(text).sequence
-    assert [(v.kind, v.path) for v in validate_shape(seq)] == [
-        ("duplicate_clause", (2,)),
-        ("merge_mixed_with_clauses", ()),
-        ("merge_mixed_with_clauses", (1, "left")),
+    result = parse_actions(text)
+    assert [(e.line, e.reason) for e in result.errors] == [
+        (2, "AddMerge cannot share a level with AddSelect"),
+        (5, "AddMerge cannot share a level with AddSelect"),
     ]
+    # the dropped merge leaves a plain level, so add_group_by may join it
+    assert [type(a) for a in result.sequence] == [AddSelect, AddGroupBy]

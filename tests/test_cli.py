@@ -8,6 +8,7 @@ from sqlmend.cli import main
 
 CLEAN_ACTIONS = "add_select(title)\nadd_from(episode)\n"
 BAD_ACTIONS = 'add_select(flavor)\nadd_from(episode)\nadd_where(id, =, "abc")\n'
+DUPLICATE_CLAUSE_ACTIONS = "add_select(title)\nadd_select(air_date)\nadd_from(episode)\n"
 # the qa() child names itself, so rendering it would never end
 SELF_REFERENCE_TEXT = ('add_select(title)\nadd_from(episode)\nadd_where(id, IN, @s.3.qa)\n'
                        'qa("q"):\n    add_select(id)\n    add_where(id, IN, @s.3.qa)\n')
@@ -61,6 +62,17 @@ def test_detect_findings_exit_one(capsys, episode_db, tmp_path):
     payload = json.loads(out)
     kinds = {f["kind"] for f in payload["findings"]}
     assert kinds == {"UnknownColumn", "TypeMismatch"}
+
+
+def test_detect_reports_a_duplicate_clause_as_a_parse_error(capsys, episode_db, tmp_path):
+    actions = tmp_path / "dup.actions"
+    actions.write_text(DUPLICATE_CLAUSE_ACTIONS)
+    code, out, _err = run_cli(capsys, "detect", str(episode_db),
+                              "--actions", str(actions))
+    assert code == 1
+    assert json.loads(out) == {
+        "parse_errors": [{"line": 2, "reason": "more than one AddSelect at this level"}],
+        "findings": []}
 
 
 def test_detect_with_rules_file(capsys, episode_db, tmp_path):
@@ -127,6 +139,21 @@ def test_refine_ablation_flags(capsys, episode_db, tmp_path):
     payload = json.loads(out)
     assert len(payload["trace"]["iterations"]) == 1
     assert payload["trace"]["iterations"][0]["feedback"]["approved"] is True
+
+
+def test_refine_without_the_detector_does_not_approve_a_duplicate_clause(
+        capsys, episode_db, tmp_path):
+    script = tmp_path / "replay.json"
+    script.write_text(json.dumps({"q": [DUPLICATE_CLAUSE_ACTIONS]}))
+    code, out, _err = run_cli(capsys, "refine", str(episode_db), "--question", "q",
+                              "--agent", f"replay:{script}", "--max-iter", "1",
+                              "--no-retriever", "--no-detector")
+    assert code == 0
+    trace = json.loads(out)["trace"]
+    assert trace["exhausted"] is True
+    assert [it["feedback"]["approved"] for it in trace["iterations"]] == [False, False]
+    assert trace["iterations"][0]["feedback"]["parse_errors"] == [
+        {"line": 2, "reason": "more than one AddSelect at this level"}]
 
 
 @pytest.mark.parametrize("flags", [[], ["--dbms-feedback"]])
@@ -347,6 +374,9 @@ UNUSABLE_INPUT = {
     "assemble-self-reference": (lambda t, db: [
         "assemble", "--actions", _file(t / "a.actions", SELF_REFERENCE_TEXT)],
         "UnresolvedSubQuestion"),
+    "assemble-duplicate-clause": (lambda t, db: [
+        "assemble", "--actions", _file(t / "a.actions", DUPLICATE_CLAUSE_ACTIONS)],
+        "AssemblyError"),
     "assemble-bad-connective": (lambda t, db: [
         "assemble", "--actions", _file(t / "a.actions", CLEAN_ACTIONS),
         "--connectives", "XOR"], "AssemblyError"),

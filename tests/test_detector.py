@@ -159,7 +159,7 @@ def test_allow_name_equijoin_downgrade(tmp_db):
         CREATE TABLE b (ref_id INTEGER, y TEXT);
     """)
     catalog = load_catalog(db)
-    seq = seq_of("add_select(a.x)\nadd_select(b.y)\n"
+    seq = seq_of("add_select(a.x, b.y)\n"
                  "add_from(a, b, join(a.ref_id, b.ref_id))")
     assert [f.kind for f in detect(seq, catalog)] == [FOREIGN_KEY_MISMATCH]
     assert detect(seq, catalog, allow_name_equijoin=True) == []
@@ -173,7 +173,7 @@ def test_bridge_table_is_not_redundant(tmp_db):
                             book_id INTEGER REFERENCES book(id));
     """)
     catalog = load_catalog(db)
-    seq = seq_of("add_select(author.name)\nadd_select(book.title)\n"
+    seq = seq_of("add_select(author.name, book.title)\n"
                  "add_from(author, wrote, book, join(wrote.author_id, author.id), "
                  "join(wrote.book_id, book.id))")
     assert detect(seq, catalog) == []
@@ -219,29 +219,31 @@ def test_detect_reports_each_level_before_its_children(episode_catalog):
     # children before the next sibling, so the root's last action comes first
     seq = seq_of("""add_select(flavor)
 add_from(episode)
-add_merge(UNION):
-    left:
-        add_select(colour)
-        add_from(episode)
-        qa("inner"):
-            add_select(title)
+qa("merged"):
+    add_merge(UNION):
+        left:
+            add_select(colour)
             add_from(episode)
-            add_where(id, =, "abc")
-    right:
-        add_select(title)
-        add_from(episodes)
+            qa("inner"):
+                add_select(title)
+                add_from(episode)
+                add_where(id, =, "abc")
+        right:
+            add_select(title)
+            add_from(episodes)
 qa("outer"):
     add_select(title, COUNT(*))
     add_from(episode)
 add_where(id, =, "xyz")""")
     findings = detect(seq, episode_catalog)
+    merge = (2, "qa", 0)
     assert [(f.kind, f.action_path) for f in findings] == [
         (UNKNOWN_COLUMN, (0,)),
         (TYPE_MISMATCH, (4,)),
-        (UNKNOWN_COLUMN, (2, "left", 0)),
-        (TYPE_MISMATCH, (2, "left", 2, "qa", 2)),
-        (UNKNOWN_TABLE, (2, "right", 1)),
-        (JOIN_ABSENCE, (2, "right", 1)),
+        (UNKNOWN_COLUMN, merge + ("left", 0)),
+        (TYPE_MISMATCH, merge + ("left", 2, "qa", 2)),
+        (UNKNOWN_TABLE, merge + ("right", 1)),
+        (JOIN_ABSENCE, merge + ("right", 1)),
         (GROUP_BY_ABSENCE, (3, "qa", 0)),
     ]
 

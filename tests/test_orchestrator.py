@@ -7,11 +7,13 @@ import pytest
 from sqlmend import orchestrator
 from sqlmend.actions import (
     CONDITIONAL_KINDS,
+    AddMerge,
     AddWhere,
     QA,
     parse_actions,
     serialize_actions,
 )
+from sqlmend.assembler import assemble
 from sqlmend.detector import UNRESOLVED_SUB_QUESTION, load_rules
 from sqlmend.orchestrator import (
     Demonstration,
@@ -148,6 +150,29 @@ def test_exclusions_accumulate_and_reduce_schema(episode_catalog, episode_index)
     assert trace.exclusion_history == ["episode.directed_by", "episode.written_by"]
 
 
+def test_a_mismatch_excludes_its_column_without_candidates(episode_catalog, episode_index):
+    agent = ScriptedAgent({QUESTION: [MISMATCH_ACTIONS, FIXED_ACTIONS]})
+    trace = run(QUESTION, episode_catalog, episode_index, (), agent,
+                RefinementConfig(candidate_k=0))
+    assert trace.iterations[0][1].mismatches[0][1].candidates == ()
+    assert trace.exclusion_history == ["episode.written_by"]
+
+
+def test_the_fallback_leaves_a_merge_level_as_it_is(episode_catalog, episode_index):
+    merge = ('add_merge(UNION):\n    left:\n        add_select(name)\n'
+             '        add_from(network)\n        add_where(name, =, "Foxx")\n'
+             '    right:\n        add_select(title)\n        add_from(episode)')
+    agent = ScriptedAgent({QUESTION: [MISMATCH_ACTIONS, merge]})
+    trace = run(QUESTION, episode_catalog, episode_index, (), agent,
+                RefinementConfig(max_iterations=1))
+    assert trace.exhausted is True
+    assert trace.fallback_applied is False
+    assert trace.final is trace.iterations[-1][0]
+    assert [type(a) for a in trace.final] == [AddMerge]
+    assert assemble(trace.final) == ("SELECT name FROM network WHERE name = 'Foxx' "
+                                     "UNION SELECT title FROM episode")
+
+
 def test_exclusion_monotonicity(episode_catalog, episode_index):
     agent = ScriptedAgent({QUESTION: [MISMATCH_ACTIONS]})
     trace = run(QUESTION, episode_catalog, episode_index, (), agent,
@@ -231,6 +256,24 @@ def test_resolve_qa_embeds_scripted_child(episode_catalog, episode_index):
     assert isinstance(qa_action, QA)
     assert len(qa_action.resolved.actions) == 3
     assert qa_action.resolved.id == "s.0.qa"
+
+
+def test_a_sub_answer_parse_error_blocks_approval(episode_catalog, episode_index):
+    agent = ScriptedAgent({
+        QUESTION: ['add_select(title)\nadd_from(episode)\nadd_where(id, IN, @s.3.qa)\n'
+                   'qa("first ids")'],
+        "first ids": ["add_select(id)\nadd_from(episode)\nadd_limit(1)\nadd_limit(2)"],
+    })
+    trace = run(QUESTION, episode_catalog, episode_index, (), agent,
+                RefinementConfig(max_iterations=0))
+    [(seq, feedback)] = trace.iterations
+    assert not feedback.approved and trace.exhausted
+    assert [f.to_json_dict() for f in feedback.findings] == [
+        {"kind": UNRESOLVED_SUB_QUESTION, "action_path": [3],
+         "detail": "sub-answer parse error line 4: more than one AddLimit at this level",
+         "data": {"question": "first ids"}}]
+    assert serialize_actions(seq.actions[3].resolved) == \
+        "add_select(id)\nadd_from(episode)\nadd_limit(1)"
 
 
 def test_resolve_qa_depth_cap(episode_catalog):

@@ -82,6 +82,16 @@ def test_mismatch_ranks_normalized_equal_cell_first(episode_catalog, episode_ind
     assert top.table == "episode" and top.column == "written_by"
 
 
+def test_a_mismatch_names_its_column_without_candidates(episode_catalog, episode_index,
+                                                       tmp_db):
+    verdict = check_condition(where("written_by", "=", "todd casey"),
+                              episode_catalog, episode_index, k=0)
+    assert verdict == Mismatch(table="episode", column="written_by", candidates=())
+    db = Database(tmp_db("CREATE TABLE Show (id INTEGER, Note TEXT);", {"Show": [(1, None)]}))
+    verdict = check_condition(where("note", "=", "x"), db.catalog, db.index)
+    assert verdict == Mismatch(table="Show", column="Note", candidates=())
+
+
 def test_exact_presence_is_matched(episode_catalog, episode_index):
     verdict = check_condition(where("written_by", "=", "Todd Casey"),
                               episode_catalog, episode_index)
