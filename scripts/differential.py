@@ -45,9 +45,14 @@ that moves a line on purpose rewrites that file:
 The default SQL family has terminated quotes and no comments, no bracket
 or backtick identifiers, no keyword, paren or quote of the other style
 inside a literal, and no gold query that carries the replaced value
-twice; the tests pin those cases one by one. The drafts draw values that
-fit their operator, so most of them parse; a few carry a malformed line,
-a duplicate clause (a parse error too), shuffled clauses, a merge, or a
+twice; the tests pin those cases one by one. Its only nested SELECT wraps
+a whole query as a derived table, and its only set operation appends a
+UNION arm at the end, so it never puts a condition after a subquery; the
+property test_a_subquery_anywhere_in_where_keeps_every_condition in
+tests/test_postprocess.py splices `col IN (SELECT ...)` into every WHERE
+position of this family's conditions. The drafts draw values that fit
+their operator, so most of them parse; a few carry a malformed line, a
+duplicate clause (a parse error too), shuffled clauses, a merge, or a
 sub-question.
 
 The episode fixture has one FK edge (pairing.episode_id -> episode.id), so

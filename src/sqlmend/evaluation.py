@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable
 
 from .schema_catalog import Database, connect_readonly
-from .sqllex import STRING_KINDS, Token, tokenize, unquote
+from .sqllex import STRING_KINDS, Token, from_items, select_cores, split, tokenize, word
 
 DEFAULT_TIMEOUT_S = 30.0
 FLOAT_REL_TOL = 1e-6
@@ -125,9 +125,8 @@ def execute_sql(db_path: str | Path, sql: str, timeout_s: float = DEFAULT_TIMEOU
 
 
 def has_top_level_order_by(sql: str) -> bool:
-    tokens = tokenize(sql)
-    return any(first.depth == 0 and _word(first) == "order" and _word(second) == "by"
-               for first, second in zip(tokens, tokens[1:]))
+    return any(core.depth == 0 and clause == "order by"
+               for core in select_cores(tokenize(sql)) for clause, _ in core.clauses)
 
 
 def _cell_key(value) -> tuple:
@@ -193,20 +192,6 @@ def execution_accuracy(pred: str, gold: str, db_path: str | Path,
 _TIGHT = "=<>!.,()"  # a fragment keeps no space next to these
 
 
-def _word(token: Token) -> str | None:
-    return token.text.lower() if token.kind == "word" else None
-
-
-def _split(tokens: list[Token], is_separator) -> list[list[Token]]:
-    parts: list[list[Token]] = [[]]
-    for token in tokens:
-        if is_separator(token):
-            parts.append([])
-        else:
-            parts[-1].append(token)
-    return parts
-
-
 def _normalize_fragment(tokens: list[Token]) -> str:
     """A fragment's text with literals masked as `?` and `<>` as `!=`, one
     space where the query had whitespace or a comment except next to
@@ -234,10 +219,10 @@ def _split_conditions(clause: list[Token]) -> tuple[list[list[Token]], list[str]
     text of the condition after it."""
     parts, connectives, start = [], [], 0
     for i, token in enumerate(clause):
-        word = _word(token)
-        if token.depth != 0 or word not in ("and", "or"):
+        keyword = word(token)
+        if token.depth != 0 or keyword not in ("and", "or"):
             continue
-        connectives.append(word)
+        connectives.append(keyword)
         if start < i < len(clause) - 1 and clause[i - 1].end < token.start \
                 and token.end < clause[i + 1].start:
             parts.append(clause[start:i])
@@ -248,44 +233,33 @@ def _split_conditions(clause: list[Token]) -> tuple[list[list[Token]], list[str]
 
 def sql_components(sql: str) -> dict | None:
     """Clause components with literals masked, or None when the query is
-    outside this parser's coverage (set operators, subqueries, no SELECT).
+    outside this parser's coverage: anything but one SELECT core that
+    spans the whole text (a subquery or set operator, text around it, no
+    SELECT), unbalanced parens, a repeated clause, or a FROM entry that
+    is not a plain name.
     """
     tokens = tokenize(sql)
     while tokens and tokens[-1].text == ";":
         tokens.pop()
-    words = [_word(token) for token in tokens]
-    if not words or words[0] != "select" or words.count("select") > 1:
-        return None  # a second select means a subquery
+    cores = select_cores(tokens)
+    if len(cores) != 1 or word(tokens[0]) != "select" or cores[0].end != len(tokens):
+        return None
     texts = [token.text for token in tokens]
-    if texts.count("(") != texts.count(")"):
+    clauses = dict(cores[0].clauses)
+    items = from_items(cores[0])
+    if texts.count("(") != texts.count(")") or len(clauses) != len(cores[0].clauses) \
+            or any(item.table is None for item in items):
         return None
-    if any(word in ("union", "intersect", "except") for word in words):
-        return None
-
-    starts: list[tuple[int, str, int]] = []  # token index, clause keyword, its width
-    for i, (token, word) in enumerate(zip(tokens, words)):
-        if token.depth != 0:
-            continue
-        if word in ("group", "order") and i + 1 < len(words) and words[i + 1] == "by":
-            starts.append((i, f"{word} by", 2))
-        elif word in ("select", "from", "where", "having", "limit"):
-            starts.append((i, word, 1))
-    keywords = [keyword for _, keyword, _ in starts]
-    if len(set(keywords)) != len(keywords):
-        return None
-    ends = [i for i, _, _ in starts[1:]] + [len(tokens)]
-    clauses = {keyword: tokens[i + width:end] for (i, keyword, width), end in zip(starts, ends)}
 
     def comma_list(clause: list[Token]) -> frozenset:
         return frozenset(_normalize_fragment(item) for item in
-                         _split(clause, lambda t: t.depth == 0 and t.text == ","))
+                         split(clause, lambda t: t.depth == 0 and t.text == ","))
 
     components: dict[str, object] = {"select": comma_list(clauses["select"])}
-    tables, join_conditions = _from_components(clauses.get("from", []))
-    if tables is None:
-        return None
-    components["from_tables"] = tables
-    components["join_conditions"] = join_conditions
+    components["from_tables"] = frozenset(item.table.lower() for item in items)
+    components["join_conditions"] = frozenset(
+        tuple(sorted({_normalize_fragment(side) for side in split(on, lambda t: t.text == "=")}))
+        for item in items for on in item.on)
     for key in ("where", "having"):
         conditions, connectives = _split_conditions(clauses[key]) if key in clauses else ([], [])
         components[key] = (frozenset(map(_normalize_fragment, conditions)),
@@ -295,41 +269,6 @@ def sql_components(sql: str) -> dict | None:
     components["order by"] = _normalize_fragment(clauses.get("order by", []))
     components["limit"] = "limit" in clauses
     return components
-
-
-def _from_components(tokens: list[Token]):
-    """FROM tables and join conditions; (None, None) when a table is not a
-    plain name."""
-    parts, start = [], 0
-    for i, token in enumerate(tokens):
-        if _word(token) != "join":
-            continue
-        end = i  # INNER, CROSS, LEFT and LEFT OUTER belong to the JOIN
-        if [_word(t) for t in tokens[max(i - 2, 0):i]] == ["left", "outer"]:
-            end -= 2
-        elif i and _word(tokens[i - 1]) in ("inner", "cross", "left"):
-            end -= 1
-        parts.append(tokens[start:end])
-        start = i + 1
-    parts.append(tokens[start:])
-    tables = []
-    joins = []
-    for part in parts:
-        while part and part[-1].text == ",":
-            part.pop()
-        head, *conditions = _split(part, lambda t: _word(t) == "on")
-        for chunk in _split(head, lambda t: t.text == ","):
-            if not chunk:
-                continue
-            name = chunk[0]
-            if name.kind not in ("word", "dquote", "ident") or \
-                    (len(chunk) > 1 and chunk[1].start == name.end):
-                return None, None
-            tables.append((name.text if name.kind == "word" else unquote(name)).lower())
-        for condition in conditions:
-            joins.append(tuple(sorted({_normalize_fragment(side) for side in
-                                       _split(condition, lambda t: t.text == "=")})))
-    return frozenset(tables), frozenset(joins)
 
 
 def exact_match(pred: str, gold: str) -> bool | None:

@@ -186,6 +186,16 @@ def test_postprocess_filter_mode(capsys, episode_db, tmp_path):
     assert lines[1].endswith("id = 3")
 
 
+def test_postprocess_rewrites_a_literal_after_a_subquery(capsys, episode_db, tmp_path):
+    sql_file = tmp_path / "preds.sql"
+    sql_file.write_text("SELECT title FROM episode WHERE id IN (SELECT episode_id FROM pairing) "
+                        "AND written_by = 'todd casey'\n")
+    code, out, _err = run_cli(capsys, "postprocess", str(episode_db),
+                              "--sql-file", str(sql_file))
+    assert code == 0
+    assert out.strip().endswith("AND written_by = 'Todd Casey'")
+
+
 def test_eval_gold_as_predictions(capsys, toy_dataset, tmp_path):
     preds = tmp_path / "gold.sql"
     examples = json.loads(toy_dataset.read_text())

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
+import importlib.util
+import random
 import sys
 import threading
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlmend import retriever
-from sqlmend.postprocess import _from_scope, extract_conditions, rewrite
+from sqlmend.postprocess import extract_conditions, rewrite
 from sqlmend.schema_catalog import (
     CellIndex,
     ColumnCells,
@@ -18,7 +22,7 @@ from sqlmend.schema_catalog import (
     build_cell_index,
     load_catalog,
 )
-from sqlmend.sqllex import quote, tokenize
+from sqlmend.sqllex import FromItem, from_items, quote, select_cores, tokenize
 from test_retriever import _CELL_TEXTS, _WIDE, oracle_rank
 
 
@@ -174,7 +178,8 @@ def test_rewrite_leaves_literals_in_comments_untouched(episode_catalog, episode_
 
 
 def test_from_scope_reads_no_name_from_a_comment(episode_catalog, episode_index):
-    assert _from_scope(tokenize("SELECT a FROM t -- don't\nORDER BY a")) == (["t"], {})
+    [core] = select_cores(tokenize("SELECT a FROM t -- don't\nORDER BY a"))
+    assert from_items(core) == [FromItem("t", None, [])]
     sql = "SELECT * FROM -- episode\nnetwork WHERE name = 'fox'"
     assert rewrite(sql, episode_catalog, episode_index) == sql.replace("'fox'", "'Fox'")
 
@@ -183,7 +188,8 @@ def test_quoted_identifiers_name_columns_and_tables(episode_catalog, episode_ind
     sql = "SELECT * FROM [episode] AS `e` WHERE `e`.[written_by] = 'todd casey'"
     [cond] = extract_conditions(sql)
     assert (cond.table, cond.column) == ("e", "written_by")
-    assert _from_scope(tokenize(sql)) == (["episode"], {"e": "episode"})
+    [core] = select_cores(tokenize(sql))
+    assert from_items(core) == [FromItem("episode", "e", [])]
     assert rewrite(sql, episode_catalog, episode_index) == sql.replace("'todd casey'",
                                                                        "'Todd Casey'")
     # a keyword in brackets is a name, not a keyword
@@ -195,7 +201,82 @@ def test_extract_reads_whole_tokens():
     assert extract_conditions("SELECT * FROM t WHERE 1e5 = 'x'") == []
     # a character between operator and literal breaks the comparison
     assert extract_conditions("SELECT * FROM t WHERE a = +'x'") == []
-    assert _from_scope(tokenize("SELECT * FROM t WHERE x = 1from u")) == (["t"], {})
+    [core] = select_cores(tokenize("SELECT * FROM t WHERE x = 1from u"))
+    assert from_items(core) == [FromItem("t", None, [])]
+
+
+def _load_differential():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "differential.py"
+    spec = importlib.util.spec_from_file_location("differential", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+differential = _load_differential()
+
+
+def _shifted(conditions, offset: int):
+    return [dataclasses.replace(c, start=c.start + offset, end=c.end + offset)
+            for c in conditions]
+
+
+@given(st.integers(0, 2 ** 32), st.integers(0, 2 ** 32), st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_a_subquery_anywhere_in_where_keeps_every_condition(shape_seed, writer_seed, at):
+    # the digest's condition family, with `col IN (SELECT ...)` spliced in
+    rng, w = random.Random(shape_seed), differential.Writer(random.Random(writer_seed))
+    table, alias = rng.choice(sorted(differential.TABLES)), rng.choice((None, "e", "T1"))
+    conditions = [differential.condition(rng, w, table, alias) for _ in range(rng.randint(1, 3))]
+    at = min(at, len(conditions))
+    inner_table = rng.choice(sorted(differential.TABLES))
+    inner_where = [differential.condition(rng, w, inner_table, None)
+                   for _ in range(rng.randint(0, 2))]
+    inner = f"SELECT {differential.column(rng, inner_table, None)} FROM {inner_table}"
+    if inner_where:
+        inner += " WHERE " + " AND ".join(inner_where)
+    opener = f"{differential.column(rng, table, alias)} IN ("
+    base = f"SELECT * FROM {table}{f' AS {alias}' if alias else ''} WHERE "
+    flat = base + " AND ".join(conditions)
+    spliced = base + " AND ".join(conditions[:at] + [opener + inner + ")"] + conditions[at:])
+    cut = len(base + " AND ".join(conditions[:at] + [""]))  # where the subquery goes
+    before = [c for c in extract_conditions(flat) if c.start < cut]
+    after = [c for c in extract_conditions(flat) if c.start >= cut]
+    expected = (before + _shifted(extract_conditions(inner), cut + len(opener))
+                + _shifted(after, len(opener + inner + ") AND ")))
+    assert extract_conditions(spliced) == expected
+
+
+def _two_name_tables(tmp_db):
+    db = tmp_db("""
+        CREATE TABLE a (id INTEGER PRIMARY KEY, name TEXT);
+        CREATE TABLE b (id INTEGER PRIMARY KEY, a_id INTEGER, name TEXT);
+    """, {"a": [(1, "Alpha")], "b": [(1, 1, "Beta")]})
+    catalog = load_catalog(db)
+    return catalog, build_cell_index(catalog, db)
+
+
+def test_a_union_arm_resolves_against_its_own_from(tmp_db):
+    catalog, index = _two_name_tables(tmp_db)
+    sql = "SELECT id FROM a WHERE name = 'alpa' UNION SELECT id FROM b WHERE name = 'bta'"
+    assert rewrite(sql, catalog, index) == \
+        "SELECT id FROM a WHERE name = 'Alpha' UNION SELECT id FROM b WHERE name = 'Beta'"
+
+
+def test_a_condition_in_a_subquery_resolves_against_its_from(tmp_db):
+    catalog, index = _two_name_tables(tmp_db)
+    sql = ("SELECT name FROM a WHERE id IN (SELECT a_id FROM b WHERE name = 'bta') "
+           "AND name = 'alpa'")
+    assert rewrite(sql, catalog, index) == sql.replace("'bta'", "'Beta'").replace(
+        "'alpa'", "'Alpha'")
+
+
+def test_a_derived_table_alias_names_no_catalog_table(tmp_db):
+    catalog, index = _two_name_tables(tmp_db)
+    sql = "SELECT s.name FROM (SELECT name FROM a) AS s WHERE s.name = 'alpa'"
+    assert rewrite(sql, catalog, index) == sql
+    [core, _inner] = select_cores(tokenize(sql))
+    assert from_items(core) == [FromItem(None, "s", [])]
 
 
 def test_rewrite_scores_through_the_module_scorer(monkeypatch, episode_catalog, episode_index):

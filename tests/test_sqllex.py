@@ -3,7 +3,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlmend.sqllex import quote, tokenize, unquote
+from sqlmend.sqllex import from_items, quote, select_cores, tokenize, unquote
 
 PIECES = ["SELECT", "order", "by", "a1", "_x", "é", "1", "2.5", "1e5", "'", '"', "''", "[", "]",
           "`", "(", ")", ",", ".", ";", "*", "=", "<", ">", "!", "-", "--", "/", "/*", "*/",
@@ -65,3 +65,37 @@ def test_numbers_and_stray_quotes():
         ("number", "1e5"), ("word", "t1"), ("number", "2.5"), ("number", "1from"),
         ("punct", "'"), ("word", "x")]
     assert [t.depth for t in tokenize("(a (b) c)")] == [0, 1, 1, 2, 2, 1, 1]
+
+
+def _runs(core) -> list[tuple[str, str]]:
+    return [(clause, " ".join(t.text for t in run)) for clause, run in core.clauses]
+
+
+def test_select_cores_give_each_token_its_innermost_core_and_clause():
+    sql = ("WITH w AS (SELECT 1) SELECT a FROM t WHERE b IN (SELECT c FROM u WHERE d = 'x') "
+           "AND e = 'y' GROUP BY a ORDER BY count(*) UNION ALL SELECT f FROM v LIMIT 3")
+    tokens = tokenize(sql)
+    cte, outer, inner, arm = select_cores(tokens)
+    assert (cte.depth, _runs(cte)) == (1, [("select", "1")])
+    assert (outer.depth, _runs(outer)) == (0, [
+        ("select", "a"), ("from", "t"), ("where", "b IN ( ) AND e = 'y'"), ("group by", "a"),
+        ("order by", "count ( * )")])
+    assert (inner.depth, _runs(inner)) == (1, [
+        ("select", "c"), ("from", "u"), ("where", "d = 'x'")])
+    assert _runs(arm) == [("select", "f"), ("from", "v"), ("limit", "3")]
+    # ends: its `)`, the UNION at its depth, the text's end
+    assert [tokens[c.end].text for c in (cte, outer, inner)] == [")", "UNION", ")"]
+    assert arm.end == len(tokens)
+    # a stray `)` ends the core around it; the text after belongs to none
+    [core] = select_cores(tokenize("SELECT a FROM t) WHERE b = 'x'"))
+    assert _runs(core) == [("select", "a"), ("from", "t")]
+
+
+def test_from_items_read_tables_aliases_and_on_conditions():
+    sql = ("SELECT * FROM a AS x LEFT OUTER JOIN [b] y ON x.id = y.id AND x.k = y.k, \"c\", "
+           "(SELECT 1) AS s NATURAL JOIN main.d CROSS JOIN f(1) g")
+    core = select_cores(tokenize(sql))[0]
+    items = [(i.table, i.alias, [sql[on[0].start:on[-1].end] for on in i.on])
+             for i in from_items(core)]
+    assert items == [("a", "x", []), ("b", "y", ["x.id = y.id AND x.k = y.k"]),
+                     ("c", None, []), (None, "s", []), (None, None, []), (None, "g", [])]
