@@ -45,14 +45,14 @@ from typing import Iterator, Union
 
 COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
 WORD_OPS = ("LIKE", "IN", "NOT IN", "BETWEEN")
-AGGREGATES = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 MERGE_OPERATORS = ("UNION", "INTERSECT", "EXCEPT")
 DIRECTIONS = ("ASC", "DESC")
 
 # an identifier, bare or table-qualified; the rule loader validates its
 # column references with it too
 IDENT_RE = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)?$")
-_TABLE_RE = re.compile(r"[A-Za-z_]\w*$")
+# a bare identifier; the assembler leaves a name unquoted when it is one
+NAME_RE = re.compile(r"[A-Za-z_]\w*$")
 # a number literal; the detector reads text literals that spell one with it
 NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
 _CALL_RE = re.compile(r"([A-Za-z_]\w*)\s*\((.*)\)\s*(:)?\s*$")
@@ -99,12 +99,6 @@ class SubqueryRef:
 
 
 Value = Union[Literal, LiteralList, SubqueryRef]
-
-NULL = Literal(kind="null")
-
-
-def text_literal(value: str) -> Literal:
-    return Literal(kind="text", value=value)
 
 
 @dataclass(frozen=True)
@@ -189,13 +183,6 @@ CORE_KINDS = (AddSelect, AddFrom, AddWhere, AddGroupBy, AddHaving)
 @dataclass
 class ActionSequence:
     actions: list[Action] = field(default_factory=list)
-    id: str = field(default="s", compare=False)
-
-    def __iter__(self) -> Iterator[Action]:
-        return iter(self.actions)
-
-    def __len__(self) -> int:
-        return len(self.actions)
 
     def first(self, kind) -> Action | None:
         for action in self.actions:
@@ -258,11 +245,11 @@ def walk_levels(seq: ActionSequence) -> Iterator[tuple[tuple, ActionSequence]]:
             if action is None)
 
 
-def assign_sequence_ids(seq: ActionSequence, root: str = "s") -> ActionSequence:
-    """Give the sequence tree deterministic position-derived ids."""
-    for prefix, level in walk_levels(seq):
-        level.id = ".".join([root, *map(str, prefix)])
-    return seq
+def levels_by_id(seq: ActionSequence) -> dict[str, ActionSequence]:
+    """Every level of the tree by the id an ``@id`` reference names: ``s``
+    joined with the level's walk prefix (``s``, ``s.0.left``, ``s.2.qa``).
+    """
+    return {".".join(["s", *map(str, prefix)]): level for prefix, level in walk_levels(seq)}
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +349,7 @@ def _parse_scalar(token: str) -> Literal | SubqueryRef:
     if NUMBER_RE.match(token):
         return Literal(kind="number", value=_parse_number(token))
     if token.lower() == "null":
-        return NULL
+        return Literal(kind="null")
     if token.startswith("@"):
         ref = token[1:]
         if not re.match(r"[\w.]+$", ref):
@@ -551,7 +538,7 @@ class _Parser:
                     if left.table is None or right.table is None:
                         raise _ArgError("join columns must be table-qualified")
                     joins.append(JoinSpec(left=left, right=right))
-                elif _TABLE_RE.match(arg):
+                elif NAME_RE.match(arg):
                     tables.append(arg)
                 else:
                     raise _ArgError(f"malformed table reference {arg!r}")
@@ -648,8 +635,7 @@ def parse_actions(text: str) -> ParseResult:
     """
     parser = _Parser(_logical_lines(text))
     actions = parser.parse_block(0)
-    sequence = assign_sequence_ids(ActionSequence(actions=actions))
-    return ParseResult(sequence=sequence, errors=parser.errors)
+    return ParseResult(sequence=ActionSequence(actions=actions), errors=parser.errors)
 
 
 # ---------------------------------------------------------------------------

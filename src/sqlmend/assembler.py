@@ -24,10 +24,11 @@ from .actions import (
     ColumnRef,
     Literal,
     LiteralList,
+    NAME_RE,
     QA,
     SelectItem,
     SubqueryRef,
-    walk_levels,
+    levels_by_id,
 )
 from .sqllex import quote
 
@@ -37,8 +38,6 @@ SQLITE_KEYWORDS = frozenset("""
     left right outer cross case when then else end table index exists
     asc desc count sum avg min max
 """.split())
-
-_PLAIN_IDENT_RE = re.compile(r"[A-Za-z_]\w*$")
 
 
 class AssemblyError(Exception):
@@ -62,7 +61,7 @@ class ConnectivePlan:
 
 def quote_identifier(name: str) -> str:
     """Quote only when necessary: reserved word or non-alphanumerics."""
-    if _PLAIN_IDENT_RE.match(name) and name.lower() not in SQLITE_KEYWORDS:
+    if NAME_RE.match(name) and name.lower() not in SQLITE_KEYWORDS:
         return name
     return quote(name, '"')
 
@@ -97,7 +96,7 @@ def _item_sql(item: SelectItem) -> str:
 
 class _Assembler:
     def __init__(self, root: ActionSequence):
-        self.sequences = {level.id: level for _prefix, level in walk_levels(root)}
+        self.sequences = levels_by_id(root)
         # the levels being rendered, by identity: one referenced again from
         # inside itself would render without end
         self.rendering: set[int] = set()

@@ -13,7 +13,7 @@ import sqlite3
 import sys
 from pathlib import Path
 
-from .actions import AddWhere, ColumnRef, parse_actions, text_literal
+from .actions import AddWhere, ColumnRef, Literal, parse_actions
 from .assembler import AssemblyError, ConnectivePlan, assemble, predict_connectives
 from .detector import InvalidRuleConfig, detect, load_rules
 from .evaluation import (
@@ -106,7 +106,7 @@ def _cmd_schema(args) -> int:
 def _cmd_retrieve(args) -> int:
     db = Database(args.db)
     action = AddWhere(column=ColumnRef.parse(args.column), op=args.op,
-                      value=text_literal(args.value))
+                      value=Literal(kind="text", value=args.value))
     verdict = check_condition(action, db.catalog, db.index, k=args.k)
     _emit(verdict_to_json(verdict))
     return 0

@@ -25,7 +25,6 @@ from .actions import (
     CONDITIONAL_KINDS,
     ParseError,
     QA,
-    assign_sequence_ids,
     parse_actions,
     serialize_actions,
     walk,
@@ -376,7 +375,6 @@ def resolve_qa(seq: ActionSequence, agent: AgentInterface,
         findings.extend(DetectorFinding(
             kind=UNRESOLVED_SUB_QUESTION, action_path=path, detail=detail,
             machine_data={"question": action.sub_question}) for detail in problems)
-    assign_sequence_ids(seq)
     return seq, findings
 
 
@@ -415,7 +413,7 @@ def _fallback_conditionals(final: ActionSequence, initial: ActionSequence) -> Ac
     kept = [a for a in final.actions if not isinstance(a, CONDITIONAL_KINDS)]
     # everything before the first conditional is kept, so it ends at insert_at
     actions = kept[:insert_at] + initial_conditionals + kept[insert_at:]
-    return assign_sequence_ids(ActionSequence(actions=actions))
+    return ActionSequence(actions=actions)
 
 
 def run(question: str, catalog: SchemaCatalog, index: CellIndex,

@@ -4,23 +4,25 @@ column.
 
 The extraction reads the query's SELECT cores through `sqllex`, not a
 full SQL parse, so it degrades gracefully on malformed predictions: each
-string comparison in a core's WHERE or HAVING clause is resolved against
-that core's own FROM tables and aliases. Replacement is the retriever's
-top-ranked cell, with no minimum score by default; that forced behavior
-is the point of the baseline, and a threshold exists only as an opt-in.
+string comparison in a core's WHERE or HAVING clause, or in an
+aggregate's FILTER (WHERE …), is resolved against that core's own FROM
+tables and aliases. Replacement is the retriever's top-ranked cell, with
+no minimum score by default; that forced behavior is the point of the
+baseline, and a threshold exists only as an opt-in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Iterator
 
 from . import retriever
 # unused here; perfbench/tracing.py still reads and swaps postprocess.TrigramBackend
 from .retriever import TrigramBackend  # noqa: F401
 from .schema_catalog import CellIndex, SchemaCatalog
-from .sqllex import (STRING_KINDS, Core, from_items, name, quote, select_cores, tokenize,
-                     unquote, word)
+from .sqllex import (STRING_KINDS, Core, Token, from_items, name, quote, select_cores,
+                     tokenize, unquote, word)
 
 
 @dataclass(frozen=True)
@@ -35,18 +37,29 @@ class ExtractedCondition:
 
 
 def extract_conditions(sql: str) -> list[ExtractedCondition]:
-    """String-literal comparisons inside the WHERE/HAVING clauses of every
-    SELECT core, in textual order, with byte spans for in-place rewriting.
-    Unrecognizable input yields an empty list.
+    """String-literal comparisons inside the WHERE/HAVING clauses and the
+    aggregate FILTER (WHERE …) groups of every SELECT core, in textual
+    order, with byte spans for in-place rewriting. Unrecognizable input
+    yields an empty list.
     """
     return sorted((c for core in select_cores(tokenize(sql)) for c in _conditions(core)),
                   key=lambda condition: condition.start)
 
 
-def _conditions(core: Core) -> Iterator[ExtractedCondition]:
+def _condition_runs(core: Core) -> Iterator[list[Token]]:
+    """A core's WHERE and HAVING runs, and elsewhere the body of each
+    aggregate's FILTER (WHERE …); one inside HAVING is read with that run."""
     for clause, run in core.clauses:
-        if clause not in ("where", "having"):
+        if clause in ("where", "having"):
+            yield run
             continue
+        for i, token in enumerate(run[:-2]):
+            if word(token) == "filter" and run[i + 1].text == "(" and word(run[i + 2]) == "where":
+                yield list(takewhile(lambda t: t.depth > token.depth, run[i + 3:]))
+
+
+def _conditions(core: Core) -> Iterator[ExtractedCondition]:
+    for run in _condition_runs(core):
         for i, token in enumerate(run):
             # the lexer's `op` tokens are exactly the comparison operators
             if token.kind not in STRING_KINDS or i < 2 or \

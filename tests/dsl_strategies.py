@@ -25,7 +25,6 @@ from sqlmend.actions import (
     LiteralList,
     QA,
     SelectItem,
-    assign_sequence_ids,
 )
 
 idents = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)
@@ -127,12 +126,12 @@ def sequences(draw, depth: int = 0) -> ActionSequence:
                                       direction=draw(st.sampled_from(["ASC", "DESC"]))))
         if draw(st.booleans()):
             actions.append(AddLimit(count=draw(st.integers(min_value=0, max_value=99))))
-        return assign_sequence_ids(ActionSequence(actions=actions))
+        return ActionSequence(actions=actions)
     actions = draw(flat_levels())
     if shape == "qa":
         resolved = draw(st.one_of(st.none(), sequences(depth=depth + 1)))
         actions.append(QA(sub_question=draw(texts), resolved=resolved))
-    return assign_sequence_ids(ActionSequence(actions=actions))
+    return ActionSequence(actions=actions)
 
 
 # ---------------------------------------------------------------------------
@@ -220,5 +219,5 @@ def executable_sequences(draw) -> ActionSequence:
         merge = AddMerge(operator=draw(st.sampled_from(["UNION", "INTERSECT", "EXCEPT"])),
                          left=ActionSequence(actions=left),
                          right=ActionSequence(actions=right))
-        return assign_sequence_ids(ActionSequence(actions=[merge]))
-    return assign_sequence_ids(ActionSequence(actions=draw(executable_levels())))
+        return ActionSequence(actions=[merge])
+    return ActionSequence(actions=draw(executable_levels()))

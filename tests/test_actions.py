@@ -19,7 +19,7 @@ from sqlmend.actions import (
     QA,
     SelectItem,
     SubqueryRef,
-    assign_sequence_ids,
+    levels_by_id,
     parse_actions,
     serialize_actions,
 )
@@ -30,7 +30,7 @@ from dsl_strategies import sequences
 def parse_one(text: str):
     result = parse_actions(text)
     assert not result.errors, result.errors
-    assert len(result.sequence) == 1
+    assert len(result.sequence.actions) == 1
     return result.sequence.actions[0]
 
 
@@ -155,7 +155,7 @@ def test_parse_reports_a_duplicate_select_on_its_line():
 def test_parse_accepts_having_without_group_by():
     result = parse_actions("add_select(a)\nadd_having(COUNT(*), >, 1)")
     assert result.errors == []
-    assert len(result.sequence) == 2
+    assert len(result.sequence.actions) == 2
 
 
 def test_parse_drops_a_second_select_instead_of_keeping_the_first_silently():
@@ -182,7 +182,7 @@ add_limit(3)
 """
     result = parse_actions(text)
     assert result.errors == [ParseError(line=6, reason="AddWhere cannot share a level with AddMerge")]
-    assert [type(a) for a in result.sequence] == [AddMerge, AddOrderBy, AddLimit]
+    assert [type(a) for a in result.sequence.actions] == [AddMerge, AddOrderBy, AddLimit]
 
 
 def test_sequence_ids_are_positional():
@@ -194,9 +194,10 @@ def test_sequence_ids_are_positional():
 """
     seq = parse_actions(text).sequence
     merge = seq.actions[0]
-    assert seq.id == "s"
-    assert merge.left.id == "s.0.left"
-    assert merge.right.id == "s.0.right"
+    levels = levels_by_id(seq)
+    assert levels["s"] is seq
+    assert levels["s.0.left"] is merge.left
+    assert levels["s.0.right"] is merge.right
 
 
 @given(sequences())
@@ -235,13 +236,13 @@ def test_sequence_ids_cover_nested_and_empty_children():
     inner = merge.left.actions[1].resolved.actions[0]
     empty_qa = merge.right.actions[0].resolved
     assert inner.right.actions == [] and empty_qa.actions == []
-    assert [seq.id, merge.left.id, merge.left.actions[1].resolved.id, inner.left.id,
-            inner.right.id, merge.right.id, empty_qa.id] == [
-        "s", "s.0.left", "s.0.left.1.qa", "s.0.left.1.qa.0.left",
-        "s.0.left.1.qa.0.right", "s.0.right", "s.0.right.0.qa"]
-    assign_sequence_ids(seq, root="r")
-    assert (merge.left.id, inner.right.id, empty_qa.id) == \
-        ("r.0.left", "r.0.left.1.qa.0.right", "r.0.right.0.qa")
+    expected = {"s": seq, "s.0.left": merge.left,
+                "s.0.left.1.qa": merge.left.actions[1].resolved,
+                "s.0.left.1.qa.0.left": inner.left, "s.0.left.1.qa.0.right": inner.right,
+                "s.0.right": merge.right, "s.0.right.0.qa": empty_qa}
+    levels = levels_by_id(seq)
+    assert list(levels) == list(expected)
+    assert all(levels[key] is level for key, level in expected.items())
 
 
 def test_parse_reports_shape_errors_in_line_order():
@@ -295,4 +296,4 @@ add_group_by(f)
         (5, "AddMerge cannot share a level with AddSelect"),
     ]
     # the dropped merge leaves a plain level, so add_group_by may join it
-    assert [type(a) for a in result.sequence] == [AddSelect, AddGroupBy]
+    assert [type(a) for a in result.sequence.actions] == [AddSelect, AddGroupBy]

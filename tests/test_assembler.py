@@ -5,7 +5,17 @@ import sqlite3
 import pytest
 from hypothesis import given, settings
 
-from sqlmend.actions import parse_actions
+from sqlmend.actions import (
+    ActionSequence,
+    AddFrom,
+    AddSelect,
+    AddWhere,
+    ColumnRef,
+    QA,
+    SelectItem,
+    SubqueryRef,
+    parse_actions,
+)
 from sqlmend.assembler import (
     ConnectivePlan,
     PlanMismatch,
@@ -152,6 +162,18 @@ add_where(id, IN, @s.0.qa)
 """
     sql = assemble(seq_of(text))
     assert "WHERE id IN (SELECT episode_id FROM pairing)" in sql
+
+
+def test_assemble_resolves_a_reference_in_a_tree_built_in_code():
+    # ids come from positions alone, so no pass has to number the tree first
+    sub = ActionSequence(actions=[AddSelect(items=(SelectItem("episode_id"),)),
+                                  AddFrom(tables=("pairing",))])
+    seq = ActionSequence(actions=[
+        AddSelect(items=(SelectItem("title"),)), AddFrom(tables=("episode",)),
+        QA(sub_question="which", resolved=sub),
+        AddWhere(column=ColumnRef("id"), op="IN", value=SubqueryRef("s.2.qa"))])
+    assert assemble(seq) == ("SELECT title FROM episode "
+                             "WHERE id IN (SELECT episode_id FROM pairing)")
 
 
 def test_assemble_dangling_reference_is_an_error():

@@ -10,6 +10,7 @@ from sqlmend.actions import (
     AddMerge,
     AddWhere,
     QA,
+    levels_by_id,
     parse_actions,
     serialize_actions,
 )
@@ -72,6 +73,32 @@ def test_never_converging_agent_falls_back(episode_catalog, episode_index):
     initial = trace.iterations[0][0]
     assert [serialize_actions_for(a) for a in conditionals(trace.final)] == \
         [serialize_actions_for(a) for a in conditionals(initial)]
+
+
+def test_the_fallback_leaves_the_recorded_draft_assembling_as_before(
+        episode_catalog, episode_index, monkeypatch):
+    # the fallback moves the last draft's qa() child from index 3 to 4 in
+    # its own sequence; the recorded draft must still name it @s.3.qa
+    first = ('add_select(title)\nadd_from(episode)\nadd_where(written_by, =, "todd casey")\n'
+             'add_where(title, =, "Foxx")')
+    last = ('add_select(title)\nadd_from(episode)\nadd_where(written_by, =, "todd casey")\n'
+            'qa("x"):\n    add_select(id)\n    add_from(episode)\n'
+            'add_where(id, IN, @s.3.qa)')
+    drafts = []
+    inspect = orchestrator.inspect_sequence
+
+    def recording_inspect(seq, *args, **kwargs):
+        drafts.append(assemble(seq))
+        return inspect(seq, *args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "inspect_sequence", recording_inspect)
+    agent = ScriptedAgent({QUESTION: [first, last]})
+    trace = run(QUESTION, episode_catalog, episode_index, (), agent,
+                RefinementConfig(max_iterations=1))
+    assert trace.fallback_applied is True
+    assert drafts[-1] == ("SELECT title FROM episode WHERE written_by = 'todd casey' "
+                          "AND id IN (SELECT id FROM episode)")
+    assert assemble(trace.iterations[-1][0]) == drafts[-1]
 
 
 def serialize_actions_for(action) -> str:
@@ -168,7 +195,7 @@ def test_the_fallback_leaves_a_merge_level_as_it_is(episode_catalog, episode_ind
     assert trace.exhausted is True
     assert trace.fallback_applied is False
     assert trace.final is trace.iterations[-1][0]
-    assert [type(a) for a in trace.final] == [AddMerge]
+    assert [type(a) for a in trace.final.actions] == [AddMerge]
     assert assemble(trace.final) == ("SELECT name FROM network WHERE name = 'Foxx' "
                                      "UNION SELECT title FROM episode")
 
@@ -255,7 +282,7 @@ def test_resolve_qa_embeds_scripted_child(episode_catalog, episode_index):
     qa_action = resolved.actions[0]
     assert isinstance(qa_action, QA)
     assert len(qa_action.resolved.actions) == 3
-    assert qa_action.resolved.id == "s.0.qa"
+    assert levels_by_id(resolved)["s.0.qa"] is qa_action.resolved
 
 
 def test_a_sub_answer_parse_error_blocks_approval(episode_catalog, episode_index):
@@ -366,8 +393,10 @@ def test_resolve_qa_calls_the_agent_depth_first(episode_catalog):
     assert agent.questions == ["q1", "q1a", "q2"]
     assert findings == []
     inner = resolved.actions[0].resolved.actions[0].resolved
-    assert (resolved.actions[0].resolved.id, inner.id, resolved.actions[1].resolved.id) == \
-        ("s.0.qa", "s.0.qa.0.qa", "s.1.qa")
+    levels = levels_by_id(resolved)
+    assert levels["s.0.qa"] is resolved.actions[0].resolved
+    assert levels["s.0.qa.0.qa"] is inner
+    assert levels["s.1.qa"] is resolved.actions[1].resolved
 
 
 def test_resolve_qa_depth_limit_and_failure_findings(episode_catalog, monkeypatch):

@@ -81,6 +81,21 @@ def test_rewrite_fixes_case_mismatch(episode_catalog, episode_index):
     assert fixed == "SELECT air_date FROM episode WHERE written_by = 'Todd Casey'"
 
 
+def test_rewrite_fixes_a_literal_in_an_aggregate_filter(episode_catalog, episode_index):
+    sql = "SELECT count(*) FILTER (WHERE written_by = 'todd casey') AS n FROM episode"
+    assert rewrite(sql, episode_catalog, episode_index) == sql.replace("'todd casey'",
+                                                                       "'Todd Casey'")
+
+
+def test_extract_reads_each_filter_once():
+    # a FILTER inside HAVING is in the having run already; one in the
+    # SELECT list ends at its `)`, so `c = 'v'` is no condition
+    sql = ("SELECT count(*) FILTER (WHERE a = 'w') AS n, c = 'v' FROM t GROUP BY c "
+           "HAVING count(*) FILTER (WHERE b = 'x' AND (d = 'y')) > 1")
+    assert [(c.column, c.literal) for c in extract_conditions(sql)] == \
+        [("a", "w"), ("b", "x"), ("d", "y")]
+
+
 def test_rewrite_exact_literal_is_fixed_point(episode_catalog, episode_index):
     sql = "SELECT air_date FROM episode WHERE written_by = 'Todd Casey'"
     assert rewrite(sql, episode_catalog, episode_index) == sql
