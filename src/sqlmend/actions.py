@@ -14,9 +14,10 @@ Grammar summary:
 * ``add_from(table, ..., join(t1.col, t2.col), ...)`` -- tables plus
   explicit join pairs; join endpoints must be table-qualified.
 * ``add_where(column, op, value)`` -- op is one of ``= != < <= > >= LIKE
-  IN NOT IN BETWEEN``; value is a quoted string, a number, ``NULL``, a
-  bare identifier, a parenthesized list (for IN / BETWEEN), or ``@id``
-  referencing a resolved sub-question sequence.
+  IN NOT IN BETWEEN``; value is a quoted string (a backslash escapes the
+  next character), a number, ``NULL``, a bare identifier, a parenthesized
+  list (for IN / BETWEEN), or ``@id`` referencing a resolved sub-question
+  sequence.
 * ``add_group_by(column, ...)``
 * ``add_having(agg_or_column, op, value)``
 * ``add_order_by(expression[, ASC|DESC])``
@@ -50,16 +51,20 @@ DIRECTIONS = ("ASC", "DESC")
 
 # an identifier, bare or table-qualified; the rule loader validates its
 # column references with it too
-IDENT_RE = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)?$")
+IDENT_RE = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)?\Z")
 # a bare identifier; the assembler leaves a name unquoted when it is one
-NAME_RE = re.compile(r"[A-Za-z_]\w*$")
+NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
 # a number literal; the detector reads text literals that spell one with it
-NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
 _CALL_RE = re.compile(r"([A-Za-z_]\w*)\s*\((.*)\)\s*(:)?\s*$")
 _LABEL_RE = re.compile(r"(left|right)\s*:\s*$")
 _AGG_RE = re.compile(r"(count|sum|avg|min|max)\s*\((.*)\)$", re.IGNORECASE)
 _JOIN_RE = re.compile(r"join\s*\((.*)\)$", re.IGNORECASE)
-_STRING_RE = re.compile(r"(['\"])(?:\\.|(?!\1).)*\1$", re.DOTALL)
+_DISTINCT_RE = re.compile(r"(distinct\s+)?(.*)", re.IGNORECASE | re.DOTALL)
+# one token of an argument's text: a string, whose backslash escapes the
+# next character and which runs to the end when unterminated; a paren or
+# comma; or a run of anything else
+_LEXEME_RE = re.compile(r"""(["'])(?:(?!\1)[^\\]|\\.)*\1?|[(),]|[^"'(),]+""", re.DOTALL)
 
 
 # ---------------------------------------------------------------------------
@@ -280,61 +285,33 @@ def _split_args(text: str) -> list[str]:
     escapes, so it does not read sqllex tokens.
     """
     parts: list[str] = []
-    buf: list[str] = []
-    depth = 0
-    in_str: str | None = None
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if in_str:
-            buf.append(ch)
-            if ch == "\\" and i + 1 < len(text):
-                buf.append(text[i + 1])
-                i += 2
-                continue
-            if ch == in_str:
-                in_str = None
-        elif ch in "'\"":
-            in_str = ch
-            buf.append(ch)
-        elif ch == "(":
+    start = depth = 0
+    for lexeme in _LEXEME_RE.finditer(text):
+        token = lexeme.group()
+        if token == "(":
             depth += 1
-            buf.append(ch)
-        elif ch == ")":
+        elif token == ")":
             depth -= 1
-            buf.append(ch)
-        else:
-            if ch == "," and depth == 0:
-                parts.append("".join(buf).strip())
-                buf = []
-                i += 1
-                continue
-            buf.append(ch)
-        i += 1
-    tail = "".join(buf).strip()
+        elif token == "," and depth == 0:
+            parts.append(text[start:lexeme.start()].strip())
+            start = lexeme.end()
+    tail = text[start:].strip()
     if parts or tail:
         parts.append(tail)
     return parts
 
 
-_UNESCAPE = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", '"': '"', "'": "'"}
+_UNESCAPE = {"n": "\n", "t": "\t", "r": "\r"}
 
 
 def _parse_string(token: str) -> str:
-    if not _STRING_RE.match(token):
+    quote, body = token[0], token[1:-1]
+    # the same quote at both ends and a backslash before each such quote
+    # inside, checked without backtracking; a final backslash stands for itself
+    if len(token) < 2 or token[-1] != quote or re.search(r"(?<!\\)" + quote, body):
         raise _ArgError(f"malformed string literal {token!r}")
-    body = token[1:-1]
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\" and i + 1 < len(body):
-            out.append(_UNESCAPE.get(body[i + 1], body[i + 1]))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return re.sub(r"\\(.)", lambda m: _UNESCAPE.get(m.group(1), m.group(1)), body,
+                  flags=re.DOTALL)
 
 
 def _parse_number(token: str):
@@ -393,26 +370,18 @@ def _parse_op(token: str) -> str:
 
 
 def _parse_select_item(token: str) -> SelectItem:
-    distinct = False
-    body = token
-    if re.match(r"distinct\s+", body, re.IGNORECASE):
-        distinct = True
-        body = re.split(r"\s+", body, maxsplit=1)[1]
+    distinct, body = _DISTINCT_RE.match(token).groups()
     agg_match = _AGG_RE.match(body)
     if agg_match:
-        inner = agg_match.group(2).strip()
-        inner_distinct = False
-        if re.match(r"distinct\s+", inner, re.IGNORECASE):
-            inner_distinct = True
-            inner = re.split(r"\s+", inner, maxsplit=1)[1].strip()
+        inner_distinct, inner = _DISTINCT_RE.match(agg_match.group(2).strip()).groups()
         if inner != "*" and not IDENT_RE.match(inner):
             raise _ArgError(f"malformed aggregate argument {inner!r}")
+        if distinct:
+            raise _ArgError(f"DISTINCT goes inside the aggregate, not before it: {token!r}")
         return SelectItem(expression=inner, aggregate=agg_match.group(1).upper(),
-                          distinct=distinct or inner_distinct)
-    if body == "*":
-        return SelectItem(expression="*", distinct=distinct)
-    if IDENT_RE.match(body):
-        return SelectItem(expression=body, distinct=distinct)
+                          distinct=bool(inner_distinct))
+    if body == "*" or IDENT_RE.match(body):
+        return SelectItem(expression=body, distinct=bool(distinct))
     raise _ArgError(f"malformed select item {token!r}")
 
 

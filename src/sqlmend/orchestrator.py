@@ -429,18 +429,14 @@ def run(question: str, catalog: SchemaCatalog, index: CellIndex,
     iterations: list[tuple[ActionSequence, Feedback]] = []
     exclusions: set[tuple[str, str]] = set()
     exclusion_history: list[str] = []
-    prev_seq: ActionSequence | None = None
-    prev_feedback: Feedback | None = None
-    agent_failed = False
 
     for iteration in range(config.max_iterations + 1):
         try:
             if iteration == 0:
                 text = agent.generate(ctx)
             else:
-                text = agent.refine(ctx, prev_seq, prev_feedback)
+                text = agent.refine(ctx, *iterations[-1])
         except AgentFailure:
-            agent_failed = True
             break
         result = parse_actions(text)
         seq = result.sequence
@@ -464,14 +460,14 @@ def run(question: str, catalog: SchemaCatalog, index: CellIndex,
         exclusion_history.extend(sorted(f"{t}.{c}" for t, c in new_columns))
         ctx = replace(ctx, schema_view=render_schema(
             catalog, frozenset((t.lower(), c.lower()) for t, c in exclusions)))
-        prev_seq, prev_feedback = seq, feedback
 
     if not iterations:
         return RefinementTrace(iterations=[], final=ActionSequence(), exhausted=True,
                                fallback_applied=False, exclusion_history=[])
 
     final_seq, final_feedback = iterations[-1]
-    exhausted = agent_failed or not final_feedback.approved
+    # an agent fails only before any draft or after an unapproved one
+    exhausted = not final_feedback.approved
     fallback_applied = False
     # conditions cannot join a level that holds an add_merge
     if exhausted and final_feedback.mismatches and len(iterations) > 1 \

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import time
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,6 +86,52 @@ def test_parse_aggregate_select_items():
         SelectItem(expression="*", aggregate="COUNT"),
         SelectItem(expression="title", aggregate="COUNT", distinct=True),
     )
+
+
+def test_parse_rejects_distinct_before_an_aggregate_on_its_line():
+    # SQL's DISTINCT COUNT(x) counts every row; COUNT(DISTINCT x) does not
+    result = parse_actions("add_from(episode)\nadd_select(DISTINCT COUNT(title))")
+    assert result.errors == [ParseError(
+        line=2, reason="DISTINCT goes inside the aggregate, not before it: "
+                       "'DISTINCT COUNT(title)'")]
+    assert [type(a) for a in result.sequence.actions] == [AddFrom]
+    assert parse_one("add_select(DISTINCT title)").items == (
+        SelectItem(expression="title", distinct=True),)
+
+
+def _text(value: str) -> Literal:
+    return Literal(kind="text", value=value)
+
+
+@pytest.mark.parametrize("argument, expected", [
+    ('"a, b"', _text("a, b")),
+    ('("a)", "b")', LiteralList(items=(_text("a)"), _text("b")))),
+    (r'"say \"hi\""', _text('say "hi"')),
+    (r'"dir\\"', _text("dir\\")),
+    ('"open, 1', "malformed string literal '\"open, 1'"),
+    (r'"a\tb\zc"', _text("a\tbzc")),
+    ('"a" b', "malformed string literal '\"a\" b'"),
+    (r'"x\"', _text("x\\")),
+], ids=["comma-in-string", "paren-in-list-string", "escaped-quote",
+        "escaped-backslash-before-close", "unterminated", "tab-and-unknown-escape",
+        "text-after-close", "backslash-before-close"])
+def test_parse_reads_string_edge_cases(argument, expected):
+    op = "IN" if isinstance(expected, LiteralList) else "="
+    result = parse_actions(f"add_where(title, {op}, {argument})")
+    if isinstance(expected, str):
+        assert result.errors == [ParseError(line=1, reason=expected)]
+    else:
+        assert not result.errors, result.errors
+        assert result.sequence.actions[0].value == expected
+
+
+def test_parse_rejects_a_long_unterminated_string_in_linear_time():
+    text = 'add_where(a, =, "' + "\\" * 5000 + 'x)'
+    start = time.perf_counter()
+    result = parse_actions(text)
+    assert time.perf_counter() - start < 1.0
+    assert len(result.errors) == 1
+    assert result.errors[0].reason.startswith("malformed string literal")
 
 
 def test_parse_in_and_between_value_shapes():

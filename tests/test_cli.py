@@ -381,6 +381,10 @@ UNUSABLE_INPUT = {
         "detect", str(db), "--actions", _file(t / "a.actions", CLEAN_ACTIONS), "--rules",
         _file(t / "r.json", [{"rule_id": "r", "kind": "require_null_filter",
                               "params": {"column": 5}}])], "InvalidRuleConfig"),
+    "detect-rule-column-trailing-newline": (lambda t, db: [
+        "detect", str(db), "--actions", _file(t / "a.actions", CLEAN_ACTIONS), "--rules",
+        _file(t / "r.json", [{"rule_id": "r", "kind": "require_null_filter",
+                              "params": {"column": "episode.title\n"}}])], "InvalidRuleConfig"),
     "assemble-self-reference": (lambda t, db: [
         "assemble", "--actions", _file(t / "a.actions", SELF_REFERENCE_TEXT)],
         "UnresolvedSubQuestion"),

@@ -302,6 +302,8 @@ def test_null_filter_rule_ignores_an_order_by_use(episode_catalog):
      {"rule_id": "x", "kind": "require_null_filter", "params": {"column": "b"}}],
     {"rule_id": "x"},
     [{"rule_id": "x", "kind": "require_null_filter", "params": "oops"}],
+    # loaded, it would never fire: no parsed column ends in a newline
+    [{"rule_id": "x", "kind": "require_null_filter", "params": {"column": "episode.title\n"}}],
 ])
 def test_invalid_rule_configs_fail_at_load(bad):
     with pytest.raises(InvalidRuleConfig):
