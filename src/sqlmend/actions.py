@@ -61,10 +61,13 @@ _LABEL_RE = re.compile(r"(left|right)\s*:\s*$")
 _AGG_RE = re.compile(r"(count|sum|avg|min|max)\s*\((.*)\)$", re.IGNORECASE)
 _JOIN_RE = re.compile(r"join\s*\((.*)\)$", re.IGNORECASE)
 _DISTINCT_RE = re.compile(r"(distinct\s+)?(.*)", re.IGNORECASE | re.DOTALL)
-# one token of an argument's text: a string, whose backslash escapes the
-# next character and which runs to the end when unterminated; a paren or
-# comma; or a run of anything else
-_LEXEME_RE = re.compile(r"""(["'])(?:(?!\1)[^\\]|\\.)*\1?|[(),]|[^"'(),]+""", re.DOTALL)
+# a string's opening quote and body, whose backslash escapes the next
+# character; the two branches never both match, so a failed match is linear
+_STRING = r"""(["'])(?:(?!\1)[^\\]|\\.)*"""
+# one token of an argument's text: a string, which runs to the end when
+# unterminated; a paren or comma; or a run of anything else
+_LEXEME_RE = re.compile(_STRING + r"""\1?|[(),]|[^"'(),]+""", re.DOTALL)
+_STRING_RE = re.compile(_STRING + r"\1", re.DOTALL)
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +308,10 @@ _UNESCAPE = {"n": "\n", "t": "\t", "r": "\r"}
 
 
 def _parse_string(token: str) -> str:
-    quote, body = token[0], token[1:-1]
-    # the same quote at both ends and a backslash before each such quote
-    # inside, checked without backtracking; a final backslash stands for itself
-    if len(token) < 2 or token[-1] != quote or re.search(r"(?<!\\)" + quote, body):
+    # read as the lexer reads it: a token that is exactly one closed string
+    if not _STRING_RE.fullmatch(token):
         raise _ArgError(f"malformed string literal {token!r}")
-    return re.sub(r"\\(.)", lambda m: _UNESCAPE.get(m.group(1), m.group(1)), body,
+    return re.sub(r"\\(.)", lambda m: _UNESCAPE.get(m.group(1), m.group(1)), token[1:-1],
                   flags=re.DOTALL)
 
 

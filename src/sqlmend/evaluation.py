@@ -106,11 +106,10 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 
 
-def execute_sql(db_path: str | Path, sql: str, timeout_s: float = DEFAULT_TIMEOUT_S,
-                max_rows: int | None = None) -> list[tuple]:
-    """Run one query read-only with a wall-clock bound; fetch at most
-    `max_rows` rows, or all of them when it is None."""
-    conn = connect_readonly(db_path)
+def _run(conn: sqlite3.Connection, sql: str, timeout_s: float,
+         max_rows: int | None = None) -> list[tuple]:
+    """Run one query on `conn` under its own wall-clock bound, counted from
+    this call; fetch at most `max_rows` rows, or all of them when it is None."""
     deadline = time.monotonic() + timeout_s
     conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 10_000)
     try:
@@ -120,6 +119,15 @@ def execute_sql(db_path: str | Path, sql: str, timeout_s: float = DEFAULT_TIMEOU
         if "interrupted" in str(exc).lower():
             raise QueryTimeout(f"query exceeded {timeout_s}s") from exc
         raise
+
+
+def execute_sql(db_path: str | Path, sql: str, timeout_s: float = DEFAULT_TIMEOUT_S,
+                max_rows: int | None = None) -> list[tuple]:
+    """Run one query read-only with a wall-clock bound; fetch at most
+    `max_rows` rows, or all of them when it is None."""
+    conn = connect_readonly(db_path)
+    try:
+        return _run(conn, sql, timeout_s, max_rows)
     finally:
         conn.close()
 
@@ -152,6 +160,10 @@ def _cells_equal(a, b) -> bool:
 
 
 def rows_equal(pred_rows: list[tuple], gold_rows: list[tuple], ordered: bool) -> bool:
+    # equal SQLite values (None, int, float, str, bytes) are equal cells,
+    # so identical lists, and identical rows after the sort, need no isclose
+    if pred_rows == gold_rows:
+        return True
     if len(pred_rows) != len(gold_rows):
         return False
     if pred_rows and len(pred_rows[0]) != len(gold_rows[0]):
@@ -160,6 +172,8 @@ def rows_equal(pred_rows: list[tuple], gold_rows: list[tuple], ordered: bool) ->
         pred_rows = sorted(pred_rows, key=_row_key)
         gold_rows = sorted(gold_rows, key=_row_key)
     for pred_row, gold_row in zip(pred_rows, gold_rows):
+        if pred_row == gold_row:
+            continue
         if len(pred_row) != len(gold_row):
             return False
         if not all(_cells_equal(p, g) for p, g in zip(pred_row, gold_row)):
@@ -171,17 +185,27 @@ def execution_accuracy(pred: str, gold: str, db_path: str | Path,
                        timeout_s: float = DEFAULT_TIMEOUT_S) -> bool:
     """True when both queries execute and produce matching result tables.
 
-    A failing gold query raises GoldExecutionError; a failing or timed-out
-    prediction scores False.
+    Both run on one read-only connection, the gold first, each under its
+    own `timeout_s`. A gold query that fails, or a database that cannot be
+    opened, raises GoldExecutionError; a failing or timed-out prediction
+    scores False.
     """
+    conn = None
     try:
-        gold_rows = execute_sql(db_path, gold, timeout_s)
-    except (sqlite3.Error, QueryTimeout) as exc:
-        raise GoldExecutionError(str(exc)) from exc
-    try:
-        pred_rows = execute_sql(db_path, pred, timeout_s)
-    except (sqlite3.Error, QueryTimeout):
-        return False
+        try:
+            conn = connect_readonly(db_path)
+            gold_rows = _run(conn, gold, timeout_s)
+        except (sqlite3.Error, QueryTimeout) as exc:
+            raise GoldExecutionError(str(exc)) from exc
+        try:
+            pred_rows = _run(conn, pred, timeout_s)
+        except (sqlite3.Error, QueryTimeout):
+            return False
+    finally:
+        if conn is not None:
+            conn.close()
+    if pred_rows == gold_rows:  # equal in order: no need to read the ORDER BY flag
+        return True
     return rows_equal(pred_rows, gold_rows, ordered=has_top_level_order_by(gold))
 
 

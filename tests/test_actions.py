@@ -111,10 +111,11 @@ def _text(value: str) -> Literal:
     ('"open, 1', "malformed string literal '\"open, 1'"),
     (r'"a\tb\zc"', _text("a\tbzc")),
     ('"a" b', "malformed string literal '\"a\" b'"),
-    (r'"x\"', _text("x\\")),
+    (r'"x\"', r"""malformed string literal '"x\\"'"""),
+    (r'"a\\"b"', r"""malformed string literal '"a\\\\"b"'"""),
 ], ids=["comma-in-string", "paren-in-list-string", "escaped-quote",
         "escaped-backslash-before-close", "unterminated", "tab-and-unknown-escape",
-        "text-after-close", "backslash-before-close"])
+        "text-after-close", "backslash-before-close", "quote-after-escaped-backslash"])
 def test_parse_reads_string_edge_cases(argument, expected):
     op = "IN" if isinstance(expected, LiteralList) else "="
     result = parse_actions(f"add_where(title, {op}, {argument})")

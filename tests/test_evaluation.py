@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from conftest import SHOWS_DDL, SHOWS_ROWS, write_dataset
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sqlmend import evaluation
 from sqlmend.evaluation import (
     DatasetFormatError,
     GoldExecutionError,
@@ -16,9 +21,11 @@ from sqlmend.evaluation import (
     file_predictor,
     has_top_level_order_by,
     load_dataset,
+    rows_equal,
     run_benchmark,
     sql_components,
 )
+from sqlmend.schema_catalog import connect_readonly
 
 
 def test_ex_identical_queries(episode_db):
@@ -82,6 +89,108 @@ def test_gold_timeout_marks_unscorable(episode_db):
                "SELECT COUNT(*) FROM c")
     with pytest.raises(GoldExecutionError):
         execution_accuracy("SELECT 1", runaway, episode_db, timeout_s=0.2)
+
+
+def test_missing_database_marks_unscorable(tmp_path):
+    with pytest.raises(GoldExecutionError):
+        execution_accuracy("SELECT 1", "SELECT 1", tmp_path / "absent.sqlite")
+
+
+def test_each_query_has_its_own_deadline(episode_db, monkeypatch):
+    """The gold and the prediction share a connection but not a deadline.
+
+    The clock is fake and moves only when a query calls advance(seconds);
+    each query then runs long enough for the progress handler to read it.
+    """
+    clock = SimpleNamespace(now=0.0)
+
+    def advance(seconds):
+        clock.now += seconds
+        return 0
+
+    def connect(db_path):
+        conn = connect_readonly(db_path)
+        conn.create_function("advance", 1, advance)
+        return conn
+
+    monkeypatch.setattr(evaluation, "time", SimpleNamespace(monotonic=lambda: clock.now))
+    monkeypatch.setattr(evaluation, "connect_readonly", connect)
+
+    def busy(seconds):
+        return (f"WITH RECURSIVE c(x) AS (SELECT advance({seconds}) UNION ALL "
+                "SELECT x + 1 FROM c WHERE x < 50000) SELECT COUNT(*) FROM c")
+
+    # the gold leaves 0.1 s of its 1 s; the prediction needs 0.5 s of its own
+    assert execution_accuracy(busy(0.5), busy(0.9), episode_db, timeout_s=1.0) is True
+    assert execution_accuracy(busy(1.5), busy(0.9), episode_db, timeout_s=1.0) is False
+    with pytest.raises(GoldExecutionError, match="exceeded"):
+        execution_accuracy(busy(0.1), busy(1.5), episode_db, timeout_s=1.0)
+
+
+# The comparison before the identical-rows fast paths, kept as the oracle.
+
+def _oracle_cell_key(value) -> tuple:
+    if value is None:
+        return (0, "")
+    if isinstance(value, (int, float)):
+        return (1, f"{float(value):.6e}")
+    if isinstance(value, bytes):
+        return (2, value.hex())
+    return (3, str(value))
+
+
+def _oracle_row_key(row: tuple) -> tuple:
+    return tuple(_oracle_cell_key(cell) for cell in row)
+
+
+def _oracle_cells_equal(a, b) -> bool:
+    if a is None or b is None:
+        return a is None and b is None
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return math.isclose(float(a), float(b), rel_tol=1e-6, abs_tol=1e-9)
+    return a == b
+
+
+def _oracle_rows_equal(pred_rows: list[tuple], gold_rows: list[tuple], ordered: bool) -> bool:
+    if len(pred_rows) != len(gold_rows):
+        return False
+    if pred_rows and len(pred_rows[0]) != len(gold_rows[0]):
+        return False
+    if not ordered:
+        pred_rows = sorted(pred_rows, key=_oracle_row_key)
+        gold_rows = sorted(gold_rows, key=_oracle_row_key)
+    for pred_row, gold_row in zip(pred_rows, gold_rows):
+        if len(pred_row) != len(gold_row):
+            return False
+        if not all(_oracle_cells_equal(p, g) for p, g in zip(pred_row, gold_row)):
+            return False
+    return True
+
+
+# 12345678 and 12345679 share a .6e sort key; 0.1 + 0.2 is within tolerance of 0.3
+_CELLS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2),
+    st.sampled_from([1, 1.0, 12345678, 12345679, 0.1 + 0.2, 0.3, "a", "1", b"a", b"1"]),
+    st.floats(allow_nan=False), st.text(max_size=2), st.binary(max_size=2))
+_ROWS = st.lists(st.lists(_CELLS, min_size=1, max_size=3).map(tuple), max_size=5)
+
+
+@st.composite
+def _row_list_pairs(draw):
+    gold = draw(_ROWS)
+    pred = draw(st.one_of(
+        st.just(list(gold)),                                     # an exact copy
+        st.permutations(gold),                                   # a reordering
+        st.lists(st.sampled_from(gold), max_size=6) if gold else _ROWS,  # duplicates, drops
+        _ROWS))                                                  # anything, ragged too
+    return list(pred), gold
+
+
+@settings(max_examples=500, deadline=None)
+@given(_row_list_pairs(), st.booleans())
+def test_rows_equal_agrees_with_the_oracle(rows, ordered):
+    pred, gold = rows
+    assert rows_equal(pred, gold, ordered) == _oracle_rows_equal(pred, gold, ordered)
 
 
 def test_order_by_detection_skips_subqueries():
