@@ -55,20 +55,6 @@ def _fail(kind: str, message: str) -> int:
     return 1
 
 
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    known = ("max_iterations", "candidate_k")
-    unknown = sorted(set(data) - set(known))
-    if unknown:  # a misspelt key would otherwise run the default silently
-        raise ValueError(f"unknown config keys {unknown}; use {list(known)}")
-    return data
-
-
 def _agent_factory(spec: str):
     """Read and check an agent spec once; each call of the result builds a
     fresh agent, so replay counters cannot leak across questions."""
@@ -81,16 +67,9 @@ def _agent_factory(spec: str):
     raise ValueError(f"unknown agent spec {spec!r}; use 'http' or 'replay:<file>'")
 
 
-def _refinement_config(args, config_file: dict) -> RefinementConfig:
-    counts = dict(config_file)  # a key the file leaves out keeps RefinementConfig's default
-    if args.max_iter is not None:
-        counts["max_iterations"] = args.max_iter
-    return RefinementConfig(
-        **counts,
-        use_retriever=not args.no_retriever,
-        use_detector=not args.no_detector,
-        dbms_feedback=args.dbms_feedback,
-    )
+def _refinement_config(args) -> RefinementConfig:
+    return RefinementConfig(max_iterations=args.max_iter, candidate_k=args.candidate_k,
+                            use_retriever=not args.no_retriever, detector=args.detector)
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +124,10 @@ def _cmd_assemble(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    config_file = _load_config_file(args.config)
     db = Database(args.db)
     rules = load_rules(args.rules) if args.rules else []
     agent = _agent_factory(args.agent)()
-    config = _refinement_config(args, config_file)
+    config = _refinement_config(args)
     trace = run(args.question, db.catalog, db.index, rules, agent, config)
     plan = predict_connectives(trace.final, args.question, agent)
     try:
@@ -179,14 +157,13 @@ def _cmd_postprocess(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    config_file = _load_config_file(args.config)
     examples, db_root = load_dataset(args.dataset, args.db_root)
     if args.pred.startswith("file:"):
         predictor = file_predictor(args.pred[len("file:"):], examples)
     elif args.pred == "pipeline":
         if not args.agent:
             raise DatasetFormatError("--pred pipeline needs --agent")
-        config = _refinement_config(args, config_file)
+        config = _refinement_config(args)
         predictor = pipeline_predictor(_agent_factory(args.agent), db_root, config=config)
     else:
         raise DatasetFormatError(f"unknown predictor {args.pred!r}; "
@@ -233,13 +210,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Inspect, refine, assemble and score SQL construction actions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    loop = argparse.ArgumentParser(add_help=False)  # the refinement flags of refine and eval
-    loop.add_argument("--max-iter", type=int, default=None)
+    # the refinement flags of refine and eval; each default is RefinementConfig's
+    loop = argparse.ArgumentParser(add_help=False)
+    loop.add_argument("--max-iter", type=int, default=RefinementConfig.max_iterations)
+    loop.add_argument("--candidate-k", type=int, default=RefinementConfig.candidate_k)
     loop.add_argument("--no-retriever", action="store_true")
     feedback = loop.add_mutually_exclusive_group()
-    feedback.add_argument("--no-detector", action="store_true")
-    feedback.add_argument("--dbms-feedback", action="store_true")
-    loop.add_argument("--config", help="JSON object setting max_iterations and candidate_k")
+    feedback.add_argument("--no-detector", dest="detector", action="store_const",
+                          const=None, default=RefinementConfig.detector)
+    feedback.add_argument("--dbms-feedback", dest="detector", action="store_const",
+                          const="dbms", default=RefinementConfig.detector)
 
     p = sub.add_parser("schema", help="print the catalog of a database as JSON")
     p.add_argument("db")

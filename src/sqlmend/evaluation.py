@@ -141,7 +141,7 @@ def _cell_key(value) -> tuple:
     if value is None:
         return (0, "")
     if isinstance(value, (int, float)):
-        return (1, f"{float(value):.6e}")
+        return (1, f"{float(value) + 0.0:.6e}")  # + 0.0 gives -0.0 the key of 0
     if isinstance(value, bytes):
         return (2, value.hex())
     return (3, str(value))

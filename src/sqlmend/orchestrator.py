@@ -37,6 +37,7 @@ from .detector import (
     detect_via_dbms,
 )
 from .retriever import (
+    DEFAULT_CANDIDATES,
     CellIndex,
     ConditionVerdict,
     Matched,
@@ -386,10 +387,9 @@ def resolve_qa(seq: ActionSequence, agent: AgentInterface,
 @dataclass(frozen=True)
 class RefinementConfig:
     max_iterations: int = 3
-    candidate_k: int = 5
+    candidate_k: int = DEFAULT_CANDIDATES
     use_retriever: bool = True
-    use_detector: bool = True
-    dbms_feedback: bool = False
+    detector: str | None = "static"  # or "dbms" (execute-and-catch feedback), or None
 
     def __post_init__(self):
         # a JSON true is a Python int, but no count
@@ -397,6 +397,8 @@ class RefinementConfig:
             raise ValueError("max_iterations must be an integer between 0 and 10")
         if type(self.candidate_k) is not int or self.candidate_k < 0:
             raise ValueError("candidate_k must be a non-negative integer")
+        if self.detector not in ("static", "dbms", None):
+            raise ValueError("detector must be 'static', 'dbms' or None")
 
 
 def _mismatch_columns(feedback: Feedback) -> set[tuple[str, str]]:
@@ -446,10 +448,10 @@ def run(question: str, catalog: SchemaCatalog, index: CellIndex,
         if config.use_retriever:
             verdicts = inspect_sequence(seq, catalog, index, k=config.candidate_k)
         findings = list(qa_findings)
-        if config.dbms_feedback:
-            findings.extend(detect_via_dbms(seq, catalog.source_path))
-        elif config.use_detector:
+        if config.detector == "static":
             findings.extend(detect(seq, catalog, rules))
+        elif config.detector == "dbms":
+            findings.extend(detect_via_dbms(seq, catalog.source_path))
         feedback = Feedback(iteration=iteration, verdicts=verdicts,
                             findings=findings, parse_errors=result.errors)
         iterations.append((seq, feedback))

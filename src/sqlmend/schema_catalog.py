@@ -273,15 +273,15 @@ def load_catalog(db_path: str | Path) -> SchemaCatalog:
             if name.lower() not in by_name:
                 continue
             for row in conn.execute("PRAGMA foreign_key_list(" + quote(name, '"') + ")"):
-                ref_table, src_col, dst_col = row[2], row[3], row[4]
+                seq, ref_table, src_col, dst_col = row[1:5]
                 target = by_name.get(ref_table.lower())
                 if target is None:
                     continue
-                if dst_col is None:
-                    pks = [c.name for c in target.columns if c.is_primary_key]
-                    if not pks:
+                if dst_col is None:  # the seq-th column of the key pairs with the PK's seq-th
+                    pks = [r[1] for r in sorted(infos[target.name], key=lambda r: r[5]) if r[5]]
+                    if seq >= len(pks):
                         continue
-                    dst_col = pks[0]
+                    dst_col = pks[seq]
                 if not target.has_column(dst_col) or not by_name[name.lower()].has_column(src_col):
                     continue
                 links.append(ForeignKeyLink(table=name, column=src_col,

@@ -126,6 +126,69 @@ def test_parse_reads_string_edge_cases(argument, expected):
         assert result.sequence.actions[0].value == expected
 
 
+# case -> (agent text, the errors it parses to as (line, reason))
+PARSE_ERRORS = {
+    "malformed-reference": ("add_where(a, =, @x-y)",
+                            [(1, "malformed sequence reference '@x-y'")]),
+    "malformed-value": ("add_where(a, =, $)", [(1, "malformed value '$'")]),
+    "reference-in-list": ("add_where(a, IN, (1, @s.1))",
+                          [(1, "sequence references are not allowed inside value lists")]),
+    "empty-list": ("add_where(a, IN, ())", [(1, "empty value list")]),
+    "malformed-column": ("add_where(1a, =, 1)", [(1, "malformed column reference '1a'")]),
+    "unknown-operator": ("add_where(a, ~, 1)", [(1, "unknown operator '~'")]),
+    "malformed-aggregate": ("add_select(count(a b))",
+                            [(1, "malformed aggregate argument 'a b'")]),
+    "malformed-select-item": ("add_select(a b)", [(1, "malformed select item 'a b'")]),
+    "in-scalar": ("add_where(a, IN, 1)",
+                  [(1, "IN takes a value list or a sequence reference")]),
+    "not-in-scalar": ('add_where(a, NOT IN, "x")',
+                      [(1, "NOT IN takes a value list or a sequence reference")]),
+    "equals-list": ("add_where(a, =, (1, 2))", [(1, "operator = takes a single value")]),
+    "indented-second-line": ("add_select(a)\n    add_from(t)",
+                             [(2, "unexpected indentation")]),
+    "unrecognized-line": ("hello world", [(1, "unrecognized line 'hello world'")]),
+    "block-on-plain-call": ("add_select(a):", [(1, "add_select does not take a block")]),
+    "empty-select": ("add_select()", [(1, "add_select needs at least one item")]),
+    "empty-from": ("add_from()", [(1, "add_from needs at least one table")]),
+    "one-column-join": ("add_from(join(a.x))", [(1, "join takes exactly two columns")]),
+    "malformed-table": ("add_from(a b)", [(1, "malformed table reference 'a b'")]),
+    "join-without-table": ("add_from(join(a.x, b.y))",
+                           [(1, "add_from needs at least one table")]),
+    "empty-group-by": ("add_group_by()", [(1, "add_group_by needs at least one column")]),
+    "having-arity": ("add_having(a)", [(1, "add_having takes (expression, op, value)")]),
+    "order-by-arity": ("add_order_by()",
+                       [(1, "add_order_by takes (expression[, direction])")]),
+    "unknown-direction": ("add_order_by(a, UP)", [(1, "unknown direction 'UP'")]),
+    "limit-arity": ("add_limit(1, 2)", [(1, "add_limit takes a single integer")]),
+    "limit-not-an-integer": ("add_limit(x)", [(1, "limit must be an integer, got 'x'")]),
+    "unknown-merge-operator": ("add_merge(JOIN):",
+                               [(1, "add_merge takes one of UNION, INTERSECT, EXCEPT")]),
+    "merge-without-colon": ("add_merge(UNION)",
+                            [(1, "add_merge needs a ':' and labeled child blocks")]),
+    "merge-unknown-label": ("add_merge(UNION):\n    middle:\n    left:\n    right:",
+                            [(2, "expected 'left:' or 'right:' inside add_merge")]),
+    "merge-duplicate-label": ("add_merge(UNION):\n    left:\n    left:\n    right:",
+                              [(3, "duplicate left: block")]),
+    "merge-without-right": ("add_merge(UNION):\n    left:\n        add_select(a)",
+                            [(1, "add_merge is missing its right: block")]),
+    "merge-without-left": ("add_merge(UNION):\n    right:\n        add_select(a)",
+                           [(1, "add_merge is missing its left: block")]),
+    "qa-arity": ('qa("a", "b")', [(1, "qa takes a single quoted question")]),
+    "qa-number": ("qa(5)", [(1, "qa takes a quoted question string")]),
+    "qa-reference": ("qa(@s.1)", [(1, "qa takes a quoted question string")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_error_messages(case):
+    text, expected = PARSE_ERRORS[case]
+    assert [(e.line, e.reason) for e in parse_actions(text).errors] == expected
+
+
+def test_parse_reads_angle_brackets_as_not_equal():
+    assert parse_one("add_where(a, <>, 1)").op == "!="
+
+
 def test_parse_rejects_a_long_unterminated_string_in_linear_time():
     text = 'add_where(a, =, "' + "\\" * 5000 + 'x)'
     start = time.perf_counter()

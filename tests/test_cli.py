@@ -304,27 +304,63 @@ def test_perturb_emits_labeled_jsonl(capsys, tmp_path, episode_db):
     assert loaded.question == perturbed["question"]
 
 
-def test_config_file_sets_defaults_flags_override(capsys, episode_db, tmp_path):
+def _perturb_with_db_root(capsys, tmp_path, db_file) -> tuple[int, dict]:
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "d.sqlite").write_bytes(db_file.read_bytes())
+    question = 'Which episodes did "Todd Casey" write?'
+    start = question.index("Todd")
+    record = {"question": question, "db_id": "d",
+              "gold_sql": "SELECT title FROM episode WHERE written_by = 'Todd Casey'",
+              "value_spans": [{"start": start, "end": start + len("Todd Casey"),
+                               "column": "episode.written_by", "literal": "Todd Casey"}]}
+    code, out, _err = run_cli(capsys, "perturb", _file(tmp_path / "a.jsonl", record),
+                              "--kinds", "replace_value", "--db-root", str(tmp_path))
+    return code, json.loads(out)
+
+
+def test_perturb_db_root_replaces_a_value_with_another_cell(capsys, tmp_path, episode_db):
+    code, perturbed = _perturb_with_db_root(capsys, tmp_path, episode_db)
+    assert code == 0
+    assert perturbed["perturbations"] == ["replace_value"]
+    [span] = perturbed["value_spans"]
+    assert span["literal"] in {"Chris Dingess", "Juan Carlos Coto", "Dan Dworkin"}
+    assert perturbed["gold_sql"] == ("SELECT title FROM episode "
+                                     f"WHERE written_by = '{span['literal']}'")
+    assert perturbed["question"][span["start"]:span["end"]] == span["literal"]
+
+
+def test_perturb_db_root_leaves_a_one_cell_column_alone(capsys, tmp_path, tmp_db):
+    db = tmp_db("CREATE TABLE episode (title TEXT, written_by TEXT);",
+                {"episode": [("Double Down", "Todd Casey")]})
+    code, perturbed = _perturb_with_db_root(capsys, tmp_path, db)
+    assert code == 0
+    assert perturbed["perturbations"] == []
+    assert perturbed["gold_sql"] == "SELECT title FROM episode WHERE written_by = 'Todd Casey'"
+
+
+def test_candidate_k_and_max_iter_flags_set_the_loop(capsys, episode_db, tmp_path):
     question = "stubborn"
     script = tmp_path / "replay.json"
     script.write_text(json.dumps({question: [
         'add_select(title)\nadd_from(episode)\nadd_where(written_by, =, "nope")']}))
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"max_iterations": 1}))
 
-    code, out, _err = run_cli(capsys, "refine", str(episode_db),
-                              "--question", question,
-                              "--agent", f"replay:{script}",
-                              "--config", str(config))
-    assert code == 0
-    assert len(json.loads(out)["trace"]["iterations"]) == 2  # 1 + initial
+    def refine_trace(*flags) -> dict:
+        code, out, _err = run_cli(capsys, "refine", str(episode_db), "--question", question,
+                                  "--agent", f"replay:{script}", *flags)
+        assert code == 0
+        return json.loads(out)["trace"]
 
-    code, out, _err = run_cli(capsys, "refine", str(episode_db),
-                              "--question", question,
-                              "--agent", f"replay:{script}",
-                              "--config", str(config), "--max-iter", "0")
-    assert code == 0
-    assert len(json.loads(out)["trace"]["iterations"]) == 1  # flag wins
+    def candidate_counts(trace) -> list[int]:
+        return [len(v["candidates"]) for it in trace["iterations"]
+                for v in it["feedback"]["verdicts"] if v["status"] == "mismatch"]
+
+    default = refine_trace()
+    assert len(default["iterations"]) == 4  # the default budget: 3 + initial
+    assert min(candidate_counts(default)) > 1
+
+    capped = refine_trace("--candidate-k", "1", "--max-iter", "1")
+    assert len(capped["iterations"]) == 2  # 1 + initial
+    assert candidate_counts(capped) == [1, 1]
 
 
 def test_usage_error_exits_two(capsys):
@@ -404,16 +440,21 @@ UNUSABLE_INPUT = {
         "refine", str(db), "--question", "q", "--agent", _replay(t, {"q": [5]})], "ValueError"),
     "refine-negative-candidate-k": (lambda t, db: [
         "refine", str(db), "--question", "q", "--agent", _replay(t, {"q": CLEAN_ACTIONS}),
-        "--config", _file(t / "c.json", {"candidate_k": -1})], "ValueError"),
+        "--candidate-k", "-1"], "ValueError"),
     "refine-candidate-k-boolean": (lambda t, db: [
         "refine", str(db), "--question", "q", "--agent", _replay(t, {"q": CLEAN_ACTIONS}),
-        "--config", _file(t / "c.json", {"candidate_k": True})], "ValueError"),
+        "--candidate-k", "true"], 2),
     "refine-max-iterations-not-a-number": (lambda t, db: [
         "refine", str(db), "--question", "q", "--agent", _replay(t, {"q": CLEAN_ACTIONS}),
-        "--config", _file(t / "c.json", {"max_iterations": "3"})], "ValueError"),
-    "refine-config-unknown-key": (lambda t, db: [
+        "--max-iter", "three"], 2),
+    # a misspelt setting would otherwise run the default silently
+    "refine-misspelt-setting": (lambda t, db: [
         "refine", str(db), "--question", "q", "--agent", _replay(t, {"q": CLEAN_ACTIONS}),
-        "--config", _file(t / "c.json", {"max_iteration": 0})], "ValueError"),
+        "--max-iteration", "0"], 2),
+    "eval-negative-candidate-k": (lambda t, db: [
+        "eval", _dataset(t, db, {"question": "q", "gold_sql": "SELECT 1", "db_id": "d"}),
+        "--pred", "pipeline", "--agent", _replay(t, {"q": CLEAN_ACTIONS}),
+        "--candidate-k", "-1"], "ValueError"),
     "refine-no-detector-with-dbms-feedback": (lambda t, db: [
         "refine", str(db), "--question", "q", "--agent", _replay(t, {"q": CLEAN_ACTIONS}),
         "--no-detector", "--dbms-feedback"], 2),
@@ -432,6 +473,36 @@ UNUSABLE_INPUT = {
     "eval-pipeline-unusable-replay": (lambda t, db: [
         "eval", _dataset(t, db, {"question": "q", "gold_sql": "SELECT 1", "db_id": "d"}),
         "--pred", "pipeline", "--agent", _replay(t, {"q": []})], "ValueError"),
+    "eval-dataset-not-json": (lambda t, db: [
+        "eval", _file(t / "examples.json", "[{"), "--pred", "pipeline"], "DatasetFormatError"),
+    "eval-dataset-not-an-array": (lambda t, db: [
+        "eval", _file(t / "examples.json", {"question": "q"}), "--pred", "pipeline"],
+        "DatasetFormatError"),
+    "eval-record-not-an-object": (lambda t, db: [
+        "eval", _file(t / "examples.json", ["q"]), "--pred", "pipeline"],
+        "DatasetFormatError"),
+    "eval-unknown-predictor": (lambda t, db: [
+        "eval", _dataset(t, db, {"question": "q", "gold_sql": "SELECT 1", "db_id": "d"}),
+        "--pred", "oracle"], "DatasetFormatError"),
+    "eval-pipeline-without-agent": (lambda t, db: [
+        "eval", _dataset(t, db, {"question": "q", "gold_sql": "SELECT 1", "db_id": "d"}),
+        "--pred", "pipeline"], "DatasetFormatError"),
+    "eval-unknown-agent-spec": (lambda t, db: [
+        "eval", _dataset(t, db, {"question": "q", "gold_sql": "SELECT 1", "db_id": "d"}),
+        "--pred", "pipeline", "--agent", "oracle"], "ValueError"),
+    "perturb-line-not-json": (lambda t, db: [
+        "perturb", _file(t / "a.jsonl", json.dumps(_ONE_SPAN) + "\n{")], "AnnotationError"),
+    "perturb-record-without-gold-sql": (lambda t, db: [
+        "perturb", _file(t / "a.jsonl", json.dumps(
+            {k: v for k, v in _ONE_SPAN.items() if k != "gold_sql"}))], "AnnotationError"),
+    "detect-rule-entry-not-an-object": (lambda t, db: [
+        "detect", str(db), "--actions", _file(t / "a.actions", CLEAN_ACTIONS), "--rules",
+        _file(t / "r.json", ["nn"])], "InvalidRuleConfig"),
+    "detect-rule-pattern-not-a-string": (lambda t, db: [
+        "detect", str(db), "--actions", _file(t / "a.actions", CLEAN_ACTIONS), "--rules",
+        _file(t / "r.json", [{"rule_id": "r", "kind": "value_format",
+                              "params": {"column": "episode.air_date", "pattern": 5}}])],
+        "InvalidRuleConfig"),
     "perturb-unknown-kind": (lambda t, db: [
         "perturb", _file(t / "a.jsonl", ""), "--kinds", "bogus"], "AnnotationError"),
     "perturb-column-not-a-string": (lambda t, db: [

@@ -127,13 +127,15 @@ def test_each_query_has_its_own_deadline(episode_db, monkeypatch):
         execution_accuracy(busy(0.1), busy(1.5), episode_db, timeout_s=1.0)
 
 
-# The comparison before the identical-rows fast paths, kept as the oracle.
+# The comparison before the identical-rows fast paths, kept as the oracle,
+# with -0.0 sorted as 0: the fast paths are exact only when equal cells
+# share a sort key.
 
 def _oracle_cell_key(value) -> tuple:
     if value is None:
         return (0, "")
     if isinstance(value, (int, float)):
-        return (1, f"{float(value):.6e}")
+        return (1, f"{float(value) + 0.0:.6e}")
     if isinstance(value, bytes):
         return (2, value.hex())
     return (3, str(value))
@@ -191,6 +193,11 @@ def _row_list_pairs(draw):
 def test_rows_equal_agrees_with_the_oracle(rows, ordered):
     pred, gold = rows
     assert rows_equal(pred, gold, ordered) == _oracle_rows_equal(pred, gold, ordered)
+
+
+def test_unordered_rows_sort_negative_zero_as_zero():
+    # SQLite returns -0.0 for SELECT -0.0; it equals 0 and must sort with it
+    assert rows_equal([(0,), (-1,)], [(-1,), (-0.0,)], ordered=False)
 
 
 def test_order_by_detection_skips_subqueries():
@@ -357,6 +364,15 @@ def test_clause_parser_reads_whole_tokens():
     assert sql_components("SELECT a FROM t; ;")["from_tables"] == frozenset({"t"})
     # a first word that only begins with select is no SELECT
     assert sql_components("SELECTa SELECT b FROM t") is None
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT a FROM t WHERE (a = 1",
+    "SELECT a FROM t WHERE a = 1 WHERE b = 2",
+    "SELECT a FROM main.t",
+], ids=["unbalanced-parens", "repeated-clause", "qualified-from-entry"])
+def test_one_core_outside_coverage_has_no_components(sql):
+    assert sql_components(sql) is None
 
 
 # ---------------------------------------------------------------------------

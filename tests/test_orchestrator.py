@@ -15,9 +15,10 @@ from sqlmend.actions import (
     serialize_actions,
 )
 from sqlmend.assembler import assemble
-from sqlmend.detector import UNRESOLVED_SUB_QUESTION, load_rules
+from sqlmend.detector import UNRESOLVED_SUB_QUESTION, DetectorFinding, load_rules
 from sqlmend.orchestrator import (
     Demonstration,
+    Feedback,
     RefinementConfig,
     ScriptedAgent,
     build_context,
@@ -151,7 +152,7 @@ def test_detector_findings_block_approval(episode_catalog, episode_index):
 def test_ablation_flags_disable_tools(episode_catalog, episode_index):
     bad = 'add_select(flavor)\nadd_from(episode)\nadd_where(title, =, "nope")'
     agent = ScriptedAgent({QUESTION: [bad]})
-    config = RefinementConfig(use_retriever=False, use_detector=False)
+    config = RefinementConfig(use_retriever=False, detector=None)
     trace = run(QUESTION, episode_catalog, episode_index, (), agent, config)
     assert len(trace.iterations) == 1
     assert trace.iterations[0][1].approved  # nothing inspected, nothing blocks
@@ -160,9 +161,11 @@ def test_ablation_flags_disable_tools(episode_catalog, episode_index):
 def test_dbms_feedback_mode(episode_catalog, episode_index):
     bad = "add_select(title)\nadd_from(episodes)"
     agent = ScriptedAgent({QUESTION: [bad, CLEAN_ACTIONS]})
-    config = RefinementConfig(dbms_feedback=True, use_detector=False)
+    config = RefinementConfig(detector="dbms")
     trace = run(QUESTION, episode_catalog, episode_index, (), agent, config)
-    assert trace.iterations[0][1].findings[0].kind == "UnknownTable"
+    # the engine's finding alone: the static detector would add a JoinAbsence
+    assert [(f.kind, f.detail) for f in trace.iterations[0][1].findings] == [
+        ("UnknownTable", "no such table: episodes")]
     assert trace.iterations[1][1].approved
 
 
@@ -215,6 +218,19 @@ def test_render_schema_excludes_columns(episode_catalog):
                             frozenset({("episode", "written_by")}))
     assert "written_by" not in reduced
     assert "directed_by" in reduced
+
+
+@pytest.mark.parametrize("excluded, keeps_the_key", [
+    (("episode", "written_by"), True),
+    (("pairing", "episode_id"), False),  # the referencing end
+    (("episode", "id"), False),  # the referenced end
+])
+def test_render_schema_drops_a_foreign_key_with_an_excluded_end(episode_catalog, excluded,
+                                                                keeps_the_key):
+    view = render_schema(episode_catalog, frozenset({excluded}))
+    key_lines = [line for line in view.split("\n") if line.startswith("foreign keys")]
+    assert key_lines == (["foreign keys: pairing.episode_id -> episode.id"]
+                         if keeps_the_key else [])
 
 
 class ViewRecordingAgent(ScriptedAgent):
@@ -326,7 +342,8 @@ def test_replay_determinism_byte_identical_traces(episode_catalog, episode_index
 
 def test_config_bounds():
     for bad in ({"max_iterations": 11}, {"max_iterations": -1}, {"max_iterations": True},
-                {"candidate_k": -1}, {"candidate_k": True}):
+                {"candidate_k": -1}, {"candidate_k": True}, {"detector": "bogus"},
+                {"detector": False}):
         with pytest.raises(ValueError):
             RefinementConfig(**bad)
 
@@ -371,6 +388,19 @@ def test_feedback_render_mentions_candidates(episode_catalog, episode_index):
     text = trace.iterations[0][1].render()
     assert "matches no database entry" in text
     assert "'Todd Casey' (1.00)" in text
+
+
+def test_feedback_render_lists_parse_errors_then_findings(episode_catalog, episode_index):
+    agent = ScriptedAgent({QUESTION: ["add_select(flavor)\nadd_from(episode)\nadd_limit(x)"]})
+    trace = run(QUESTION, episode_catalog, episode_index, (), agent,
+                RefinementConfig(max_iterations=0))
+    assert trace.iterations[0][1].render() == (
+        "parse error line 3: limit must be an integer, got 'x'\n"
+        "UnknownColumn at 0: column 'flavor' does not resolve")
+    nested = Feedback(iteration=0, findings=[
+        DetectorFinding(kind="UnknownTable", action_path=(0, "left", 1), detail="d")])
+    assert nested.render() == "UnknownTable at 0.left.1: d"
+    assert Feedback(iteration=0).render() == "approved"
 
 
 class RecordingAgent(ScriptedAgent):

@@ -79,6 +79,45 @@ def test_load_catalog_foreign_key_matches_direct_introspection(tmp_db):
     assert fk.ref_column == (dst or "id")
 
 
+def _links(catalog) -> list[tuple[str, str, str, str]]:
+    return [(fk.table, fk.column, fk.ref_table, fk.ref_column) for fk in catalog.foreign_keys]
+
+
+def test_a_keyless_foreign_key_pairs_with_the_primary_key_in_key_order(tmp_db):
+    db = tmp_db("""
+        CREATE TABLE a (x INTEGER, y INTEGER, PRIMARY KEY (y, x));
+        CREATE TABLE b (p INTEGER, q INTEGER, FOREIGN KEY (p, q) REFERENCES a);
+    """)
+    # SQLite pairs the key's columns with the primary key's, in key order
+    conn = sqlite3.connect(db)
+    conn.execute("PRAGMA foreign_keys = ON")
+    conn.execute("INSERT INTO a VALUES (1, 2)")  # x = 1, y = 2
+    conn.execute("INSERT INTO b VALUES (2, 1)")  # p -> y, q -> x
+    conn.close()
+    assert _links(load_catalog(db)) == [("b", "p", "a", "y"), ("b", "q", "a", "x")]
+    # a key column past the end of the primary key has no partner
+    db = tmp_db("""
+        CREATE TABLE a (x INTEGER PRIMARY KEY, y INTEGER);
+        CREATE TABLE b (p INTEGER, q INTEGER, FOREIGN KEY (q, p) REFERENCES a);
+    """, name="longer.sqlite")
+    assert _links(load_catalog(db)) == [("b", "q", "a", "x")]
+
+
+# a link whose target column cannot be named is left out
+UNLINKED_FOREIGN_KEYS = {
+    "missing-table": "CREATE TABLE b (p INTEGER REFERENCES ghost(id));",
+    "missing-column": "CREATE TABLE a (x INTEGER PRIMARY KEY);"
+                      "CREATE TABLE b (p INTEGER REFERENCES a(nope));",
+    "keyless-without-primary-key": "CREATE TABLE a (x INTEGER);"
+                                   "CREATE TABLE b (p INTEGER REFERENCES a);",
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNLINKED_FOREIGN_KEYS))
+def test_a_foreign_key_without_a_target_column_is_left_out(tmp_db, case):
+    assert _links(load_catalog(tmp_db(UNLINKED_FOREIGN_KEYS[case]))) == []
+
+
 def test_load_catalog_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_catalog(tmp_path / "nope.sqlite")
