@@ -28,6 +28,8 @@ one SHA-256 per surface:
                 result JSON and the aggregates
   perturb       perturb_example over seeded annotated questions, each with a
                 random set of disturbance kinds, with and without the index
+  cell_index    build_cell_index over the episode fixture: every table,
+                column and its cells
 
 Two checkouts that print the same lines for a seed agree on all of them.
 The script uses only long-standing public names, so it can score another
@@ -536,7 +538,8 @@ def digests(seed: int, n: int) -> list[str]:
 
     surfaces: dict[str, list] = {name: [] for name in (
         "order_by", "components", "exact_match", "conditions", "rewrite", "replace_value",
-        "candidates", "findings", "verdicts", "assemble", "refine", "eval_report", "perturb")}
+        "candidates", "findings", "verdicts", "assemble", "refine", "eval_report", "perturb",
+        "cell_index")}
     for sql in queries:
         surfaces["order_by"].append(has_top_level_order_by(sql))
         components = sql_components(sql)
@@ -603,6 +606,8 @@ def digests(seed: int, n: int) -> list[str]:
         out, applied = perturb_example(example, kinds, i, catalog if with_index else None,
                                        index if with_index else None)
         surfaces["perturb"].append([out.to_json_dict(), applied])
+    for table, name in index.columns():
+        surfaces["cell_index"].append([table, name, index.column_cells(table, name).cells])
 
     lines = []
     for name, items in surfaces.items():

@@ -158,12 +158,12 @@ def _cmd_postprocess(args) -> int:
 
 def _cmd_eval(args) -> int:
     examples, db_root = load_dataset(args.dataset, args.db_root)
+    config = _refinement_config(args)  # checked for every predictor, used by the pipeline
     if args.pred.startswith("file:"):
         predictor = file_predictor(args.pred[len("file:"):], examples)
     elif args.pred == "pipeline":
         if not args.agent:
             raise DatasetFormatError("--pred pipeline needs --agent")
-        config = _refinement_config(args)
         predictor = pipeline_predictor(_agent_factory(args.agent), db_root, config=config)
     else:
         raise DatasetFormatError(f"unknown predictor {args.pred!r}; "

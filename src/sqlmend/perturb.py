@@ -91,7 +91,9 @@ def example_from_json(record: dict) -> AnnotatedExample:
                 ColumnMentionSpan(span=Span(c["start"], c["end"]), column=c["column"])
                 for c in record.get("column_mention_spans", ())),
         )
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
+        raise AnnotationError(f"missing field {exc.args[0]!r}") from exc
+    except TypeError as exc:
         raise AnnotationError(f"bad annotated example: {exc}") from exc
     _validate(example)
     return example
@@ -289,10 +291,9 @@ def read_examples(path: str | Path) -> list[AnnotatedExample]:
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
+                examples.append(example_from_json(json.loads(line)))
+            except (json.JSONDecodeError, AnnotationError) as exc:
                 raise AnnotationError(f"line {line_number}: {exc}") from exc
-            examples.append(example_from_json(record))
     return examples
 
 

@@ -406,8 +406,9 @@ def _dataset(tmp, db, record) -> str:
 _ONE_SPAN = {"question": "Fox?", "gold_sql": "SELECT 1 WHERE name = 'Fox'", "db_id": "d",
              "value_spans": [{"start": 0, "end": 3, "column": "name", "literal": "Fox"}]}
 
-# subcommand input that cannot be used -> (argv, the error the CLI reports);
-# argparse usage errors exit 2 with their usage text instead of JSON
+# subcommand input that cannot be used -> (argv, the error the CLI reports,
+# or the error and its detail); argparse usage errors exit 2 with their
+# usage text instead of JSON
 UNUSABLE_INPUT = {
     "schema-directory": (lambda t, db: ["schema", str(t)], "CorruptDatabase"),
     "retrieve-usage": (lambda t, db: ["retrieve", str(db)], 2),
@@ -454,7 +455,12 @@ UNUSABLE_INPUT = {
     "eval-negative-candidate-k": (lambda t, db: [
         "eval", _dataset(t, db, {"question": "q", "gold_sql": "SELECT 1", "db_id": "d"}),
         "--pred", "pipeline", "--agent", _replay(t, {"q": CLEAN_ACTIONS}),
-        "--candidate-k", "-1"], "ValueError"),
+        "--candidate-k", "-1"], ("ValueError", "candidate_k must be a non-negative integer")),
+    # the file predictor ignores the refinement flags, but they are still checked
+    "eval-file-negative-candidate-k": (lambda t, db: [
+        "eval", _dataset(t, db, {"question": "q", "gold_sql": "SELECT 1", "db_id": "d"}),
+        "--pred", "file:" + _file(t / "p.sql", "SELECT 1\n"),
+        "--candidate-k", "-1"], ("ValueError", "candidate_k must be a non-negative integer")),
     "refine-no-detector-with-dbms-feedback": (lambda t, db: [
         "refine", str(db), "--question", "q", "--agent", _replay(t, {"q": CLEAN_ACTIONS}),
         "--no-detector", "--dbms-feedback"], 2),
@@ -494,7 +500,8 @@ UNUSABLE_INPUT = {
         "perturb", _file(t / "a.jsonl", json.dumps(_ONE_SPAN) + "\n{")], "AnnotationError"),
     "perturb-record-without-gold-sql": (lambda t, db: [
         "perturb", _file(t / "a.jsonl", json.dumps(
-            {k: v for k, v in _ONE_SPAN.items() if k != "gold_sql"}))], "AnnotationError"),
+            {k: v for k, v in _ONE_SPAN.items() if k != "gold_sql"}))],
+        ("AnnotationError", "line 1: missing field 'gold_sql'")),
     "detect-rule-entry-not-an-object": (lambda t, db: [
         "detect", str(db), "--actions", _file(t / "a.actions", CLEAN_ACTIONS), "--rules",
         _file(t / "r.json", ["nn"])], "InvalidRuleConfig"),
@@ -531,4 +538,8 @@ def test_unusable_input_exits_with_an_error_not_a_traceback(capsys, monkeypatch,
     else:
         assert code == 1
         assert captured.out == ""
-        assert json.loads(captured.err)["error"] == expected
+        error = json.loads(captured.err)
+        if isinstance(expected, tuple):
+            expected, detail = expected
+            assert error["detail"] == detail
+        assert error["error"] == expected

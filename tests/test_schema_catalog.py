@@ -1,16 +1,20 @@
 from __future__ import annotations
 
 import json
+import re
 import sqlite3
 import sys
+import tempfile
 import threading
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sqlmend.schema_catalog
-from sqlmend.actions import parse_actions
+from sqlmend.actions import AddWhere, ColumnRef, Literal, parse_actions
 from sqlmend.detector import detect
 from sqlmend.orchestrator import verdict_to_json
 from sqlmend.perturb import (
@@ -21,7 +25,7 @@ from sqlmend.perturb import (
     replace_common_value,
 )
 from sqlmend.postprocess import rewrite
-from sqlmend.retriever import inspect_sequence, rank_candidates
+from sqlmend.retriever import Matched, check_condition, inspect_sequence, rank_candidates
 from sqlmend.schema_catalog import (
     ColumnCells,
     CorruptDatabase,
@@ -32,6 +36,8 @@ from sqlmend.schema_catalog import (
     load_catalog,
     normalize_cell,
 )
+from sqlmend.sqllex import quote
+from conftest import make_db
 
 
 def test_load_catalog_episode_table(tmp_db):
@@ -168,6 +174,21 @@ def test_a_directory_is_not_a_database(tmp_path):
         build_cell_index(SchemaCatalog(tables=(), foreign_keys=(), source_path=""), tmp_path)
 
 
+@pytest.mark.parametrize("breakage", [
+    "DROP TABLE t",  # the catalog names a table the file no longer has
+    "INSERT INTO t VALUES (CAST(X'FF' AS TEXT))",  # a cell that is not UTF-8
+])
+def test_a_failed_cell_read_is_a_corrupt_database(tmp_db, breakage):
+    db = tmp_db("CREATE TABLE t (v TEXT); INSERT INTO t VALUES ('a');")
+    catalog = load_catalog(db)
+    conn = sqlite3.connect(db)
+    conn.execute(breakage)
+    conn.commit()
+    conn.close()
+    with pytest.raises(CorruptDatabase):
+        build_cell_index(catalog, db)
+
+
 def test_database_builds_on_first_use_and_keeps_the_path_as_given(tmp_path, monkeypatch,
                                                                  episode_db):
     missing = Database(tmp_path / "nope.sqlite")  # nothing is opened yet
@@ -252,6 +273,23 @@ def test_normalize_cell_idempotent(text):
     assert normalize_cell(once) == once
 
 
+def _two_pass_normalize(text: str) -> str:
+    """normalize_cell as two passes: punctuation runs, then whitespace runs."""
+    s = text.strip()
+    if len(s) >= 2 and s[0] == s[-1] and s[0] in "'\"`":
+        s = s[1:-1]
+    s = re.sub(r"[^\w\s]+", " ", s.casefold())
+    return re.sub(r"\s+", " ", s).strip()
+
+
+@given(st.one_of(st.text(max_size=40),
+                 st.text(alphabet=" \t\n\u00a0\u2003\u3000.,-_'\"`!aZ\u00e9\u0301\u0663\u00df",
+                         max_size=20)))
+@settings(max_examples=300)
+def test_normalize_cell_equals_the_two_pass_form(text):
+    assert normalize_cell(text) == _two_pass_normalize(text)
+
+
 def test_index_distinct_and_null_exclusion(tmp_db):
     db = tmp_db(
         "CREATE TABLE t (written_by TEXT, n INTEGER);",
@@ -306,6 +344,64 @@ def test_index_cap_keeps_most_frequent(tmp_db, monkeypatch):
     monkeypatch.setattr(sqlmend.schema_catalog, "DEFAULT_CELL_CAP", 2)
     cells = build_cell_index(catalog, db).column_cells("t", "v")
     assert set(cells.cells) == {"common", "middling"}
+
+
+def _grouped_cells(db, table: str, column: str, cap: int) -> tuple[str, ...]:
+    """The index's cells of one column as one GROUP BY query reads them:
+    the `cap` most frequent non-NULL values, ties to the smaller value,
+    TEXT values only, sorted."""
+    col, tab = quote(column, '"'), quote(table, '"')
+    conn = sqlite3.connect(db)
+    try:
+        rows = conn.execute(f"SELECT {col}, COUNT(*) AS n FROM {tab} WHERE {col} IS NOT NULL "
+                            f"GROUP BY {col} ORDER BY n DESC, {col} ASC LIMIT {cap}").fetchall()
+    finally:
+        conn.close()
+    return tuple(sorted(v for v, _count in rows if isinstance(v, str)))
+
+
+_CELL_VALUES = st.one_of(
+    st.none(), st.binary(max_size=2), st.integers(-2, 2),
+    st.sampled_from(["fox", "Fox", "FOX", "fox ", "", "\u00e9", "\u00c9"]),
+    st.text(alphabet="aAb \u00e9", max_size=3))
+
+
+@given(st.integers(1, 4).flatmap(lambda width: st.tuples(st.just(width), st.lists(
+           st.tuples(st.integers(-9, 9), *[_CELL_VALUES] * width), max_size=30))),
+       st.integers(1, 5))
+@settings(max_examples=100, deadline=None)
+def test_index_equals_one_grouped_query_per_column(table, cap):
+    width, rows = table
+    names = ["n"] + [f"c{j}" for j in range(width)]
+    ddl = "CREATE TABLE t (n INTEGER, " + ", ".join(f"{c} TEXT" for c in names[1:]) + ");"
+    with tempfile.TemporaryDirectory() as workdir:
+        db = make_db(Path(workdir) / "t.sqlite", ddl, {"t": rows})
+        catalog = load_catalog(db)
+        with mock.patch.object(sqlmend.schema_catalog, "DEFAULT_CELL_CAP", cap):
+            index = build_cell_index(catalog, db)
+        assert index.columns() == [("t", c) for c in names[1:]]
+        for column in names[1:]:
+            assert index.column_cells("t", column).cells == _grouped_cells(db, "t", column, cap)
+
+
+@pytest.mark.parametrize("cap, nocase, rtrim", [
+    (50_000, ("FOX", "Fox", "fox"), ("fox", "fox ", "fox  ")),
+    # past the cap: the most frequent byte-distinct values, ties to the smaller
+    (2, ("FOX", "fox"), ("fox", "fox ")),
+])
+def test_every_byte_distinct_cell_is_indexed_whatever_the_collation(tmp_db, monkeypatch,
+                                                                    cap, nocase, rtrim):
+    db = tmp_db("CREATE TABLE t (name TEXT COLLATE NOCASE, code TEXT COLLATE RTRIM);",
+                {"t": [("Fox", "fox "), ("fox", "fox"), ("FOX", "fox  "), ("fox", "fox")]})
+    monkeypatch.setattr(sqlmend.schema_catalog, "DEFAULT_CELL_CAP", cap)
+    catalog = load_catalog(db)
+    index = build_cell_index(catalog, db)
+    assert index.column_cells("t", "name").cells == nocase
+    assert index.column_cells("t", "code").cells == rtrim
+    for column in ("name", "code"):
+        action = AddWhere(column=ColumnRef(column=column), op="=",
+                          value=Literal(kind="text", value="fox"))
+        assert check_condition(action, catalog, index) == Matched(raw_value="fox")
 
 
 def test_catalog_json_export_is_stable(episode_catalog):
