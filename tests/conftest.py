@@ -80,6 +80,37 @@ def episode_index(episode_db, episode_catalog):
     return build_cell_index(episode_catalog, episode_db)
 
 
+# Mixed-case names: each foreign key spells its columns in another case
+# than their declarations, and album's lowercase name sorts after Genre's
+# in binary order but before it case-folded.
+MUSIC_DDL = """
+CREATE TABLE Artist (ArtistId INTEGER PRIMARY KEY, Name TEXT);
+CREATE TABLE Genre (GenreId INTEGER PRIMARY KEY, Name TEXT);
+CREATE TABLE album (
+    AlbumId INTEGER PRIMARY KEY,
+    Title TEXT,
+    artistid INTEGER REFERENCES Artist(artistID),
+    GenreID INTEGER REFERENCES genre(GENREID)
+);
+"""
+
+MUSIC_ROWS = {
+    "Artist": [(1, "AC/DC"), (2, "Accept")],
+    "Genre": [(1, "Rock")],
+    "album": [(1, "Let There Be Rock", 1, 1), (2, "Balls to the Wall", 2, 1)],
+}
+
+
+@pytest.fixture(scope="session")
+def music_db(tmp_path_factory) -> Path:
+    return make_db(tmp_path_factory.mktemp("db") / "music.sqlite", MUSIC_DDL, MUSIC_ROWS)
+
+
+@pytest.fixture(scope="session")
+def music_catalog(music_db):
+    return load_catalog(music_db)
+
+
 @pytest.fixture()
 def tmp_db(tmp_path):
     def build(ddl: str, rows: dict[str, list[tuple]] | None = None,

@@ -179,6 +179,28 @@ def test_bridge_table_is_not_redundant(tmp_db):
     assert detect(seq, catalog) == []
 
 
+def test_a_join_spelled_in_another_case_matches_its_declared_key(music_catalog):
+    seq = seq_of("add_select(album.Title, Artist.Name)\n"
+                 "add_from(album, Artist, join(ALBUM.ArtistID, artist.ARTISTID))")
+    assert detect(seq, music_catalog) == []
+
+
+def test_join_absence_names_missing_tables_lowercased_in_lowercase_order(music_catalog):
+    one = detect(seq_of("add_select(Artist.Name, album.Title)\nadd_from(album)"),
+                 music_catalog)
+    assert [(f.kind, f.machine_data) for f in one] == [(JOIN_ABSENCE, {"table": "artist"})]
+    two = detect(seq_of("add_select(Artist.Name, Genre.Name, album.Title)\nadd_from(Artist)"),
+                 music_catalog)
+    assert [f.machine_data["table"] for f in two if f.kind == JOIN_ABSENCE] == ["album", "genre"]
+
+
+def test_a_mixed_case_bridge_table_is_not_redundant(music_catalog):
+    seq = seq_of("add_select(ARTIST.Name, genre.name)\n"
+                 "add_from(artist, ALBUM, Genre, join(Album.ArtistId, ARTIST.artistid), "
+                 "join(album.GenreID, genre.genreid))")
+    assert detect(seq, music_catalog) == []
+
+
 def test_detect_recurses_into_merge_children(episode_catalog):
     text = """add_merge(UNION):
     left:

@@ -277,6 +277,15 @@ def test_refine_keeps_the_header_of_an_emptied_table(tmp_db):
     assert agent.views[1].splitlines()[1] == "table network: "
 
 
+def test_refine_drops_a_mixed_case_mismatch_from_the_schema_view(music_db, music_catalog):
+    mismatch = 'add_select(NAME)\nadd_from(ARTIST)\nadd_where(name, =, "ac dc")'
+    agent = ViewRecordingAgent({QUESTION: [mismatch, "add_select(Title)\nadd_from(album)"]})
+    trace = run(QUESTION, music_catalog, build_cell_index(music_catalog, music_db), (), agent)
+    assert trace.exclusion_history == ["Artist.Name"]
+    assert "table Artist: ArtistId (INTEGER, primary key), Name (TEXT)" in agent.views[0]
+    assert "table Artist: ArtistId (INTEGER, primary key)" in agent.views[1].splitlines()
+
+
 def test_resolve_qa_without_qa_is_identity(episode_catalog, episode_index):
     seq = parse_actions(CLEAN_ACTIONS).sequence
     ctx = build_context(episode_catalog, QUESTION)
