@@ -185,14 +185,6 @@ _BOUND = ("ok", "out_of_scope")
 _Resolve = Callable[[ColumnRef], Resolution]
 
 
-def _fk_graph(catalog: SchemaCatalog) -> dict[str, set[str]]:
-    graph: dict[str, set[str]] = {t.name.lower(): set() for t in catalog.tables}
-    for fk in catalog.foreign_keys:
-        graph[fk.table.lower()].add(fk.ref_table.lower())
-        graph[fk.ref_table.lower()].add(fk.table.lower())
-    return graph
-
-
 def _bfs_distances(graph: dict[str, set[str]], source: str) -> dict[str, int]:
     distances = {source: 0}
     queue = deque([source])
@@ -286,7 +278,7 @@ def _detect_level(level: ActionSequence, prefix: tuple, catalog: SchemaCatalog,
                  f"column {use.ref.text()!r} matches more than one table in scope",
                  column=use.ref.text())
         # unknown_table already reported in (a)
-    join_endpoint_tables = {table.name.lower() for _ref, table in endpoints if table}
+    join_endpoint_tables = {table.name for _ref, table in endpoints if table}
     for ref, table in endpoints:
         if table is not None and table.column(ref.column) is None:
             emit(UNKNOWN_COLUMN, from_path, f"column {ref.text()!r} does not resolve",
@@ -294,11 +286,10 @@ def _detect_level(level: ActionSequence, prefix: tuple, catalog: SchemaCatalog,
 
     # (c) foreign-key consistency of joins
     for join in joins:
-        if any(catalog.resolve(ref.table, ref.column).status != "ok"
-               for ref in (join.left, join.right)):
+        ends = [catalog.resolve(ref.table, ref.column) for ref in (join.left, join.right)]
+        if any(end.status != "ok" for end in ends):
             continue
-        if catalog.is_foreign_key_pair(join.left.table, join.left.column,
-                                       join.right.table, join.right.column):
+        if tuple((end.table.name, end.column.name) for end in ends) in catalog.fk_pairs:
             continue
         if allow_name_equijoin and join.left.column.lower() == join.right.column.lower():
             continue
@@ -309,24 +300,23 @@ def _detect_level(level: ActionSequence, prefix: tuple, catalog: SchemaCatalog,
     # (d) join absence / redundancy
     payload_tables: dict[str, tuple] = {}
     for use, table, _column in resolved_uses:
-        payload_tables.setdefault(table.name.lower(), use.path)
-    scope_lower = {table.name.lower() for _t, table in scope if table}
-    referenced_lower = set(payload_tables) | join_endpoint_tables
-    for table_lower in sorted(referenced_lower - scope_lower):
-        path = from_path if from_path is not None else payload_tables.get(table_lower, prefix + (0,))
+        payload_tables.setdefault(table.name, use.path)
+    in_scope = {table.name for _t, table in scope if table}
+    missing = (set(payload_tables) | join_endpoint_tables) - in_scope
+    for name in sorted(missing, key=lambda name: (name.lower(), name)):
+        path = from_path if from_path is not None else payload_tables.get(name, prefix + (0,))
         emit(JOIN_ABSENCE, path,
-             f"table {table_lower!r} is referenced but missing from add_from",
-             table=table_lower)
+             f"table {name.lower()!r} is referenced but missing from add_from",
+             table=name.lower())
     # a level that selects * implicitly uses every FROM table, and one with
     # unresolved columns gives no sound basis for a redundancy claim
     star_used = any(item.expression == "*"
                     for _path, action in kinds.get(AddSelect, ()) for item in action.items)
     if not star_used and not resolution_failed:
-        graph = _fk_graph(catalog)
-        distances = {a: _bfs_distances(graph, a) for a in payload_tables}
+        distances = {a: _bfs_distances(catalog.fk_neighbors, a) for a in payload_tables}
         for t, table in scope:
-            if table is None or table.name.lower() in payload_tables \
-                    or _bridges(distances, table.name.lower()):
+            if table is None or table.name in payload_tables \
+                    or _bridges(distances, table.name):
                 continue
             emit(JOIN_REDUNDANCY, from_path,
                  f"table {t!r} contributes no columns and bridges no referenced tables",
@@ -391,7 +381,7 @@ def _having_text(action: AddHaving) -> str:
 def _group_key(resolve: _Resolve, ref: ColumnRef):
     found = resolve(ref)
     if found.status in _BOUND:
-        return (found.table.name.lower(), found.column.name.lower())
+        return (found.table.name, found.column.name)
     return ref.text().lower()
 
 

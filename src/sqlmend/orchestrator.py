@@ -76,23 +76,21 @@ class AgentContext:
 def render_schema(catalog: SchemaCatalog, excluded: frozenset = frozenset()) -> str:
     """Text rendering of the catalog for the agent's context.
 
-    `excluded` holds lowercase (table, column) pairs to omit; tables stay
-    listed even when all their columns are excluded.
+    `excluded` holds the (table, column) catalog names to omit; tables
+    stay listed even when all their columns are excluded.
     """
     lines = []
     for table in catalog.tables:
         cols = []
         for col in table.columns:
-            if (table.name.lower(), col.name.lower()) in excluded:
+            if (table.name, col.name) in excluded:
                 continue
             marker = ", primary key" if col.is_primary_key else ""
             cols.append(f"{col.name} ({col.affinity}{marker})")
         lines.append(f"table {table.name}: " + ", ".join(cols))
     fk_lines = []
     for fk in catalog.foreign_keys:
-        if (fk.table.lower(), fk.column.lower()) in excluded:
-            continue
-        if (fk.ref_table.lower(), fk.ref_column.lower()) in excluded:
+        if (fk.table, fk.column) in excluded or (fk.ref_table, fk.ref_column) in excluded:
             continue
         fk_lines.append(f"{fk.table}.{fk.column} -> {fk.ref_table}.{fk.ref_column}")
     if fk_lines:
@@ -460,8 +458,7 @@ def run(question: str, catalog: SchemaCatalog, index: CellIndex,
         new_columns = _mismatch_columns(feedback) - exclusions
         exclusions |= new_columns
         exclusion_history.extend(sorted(f"{t}.{c}" for t, c in new_columns))
-        ctx = replace(ctx, schema_view=render_schema(
-            catalog, frozenset((t.lower(), c.lower()) for t, c in exclusions)))
+        ctx = replace(ctx, schema_view=render_schema(catalog, frozenset(exclusions)))
 
     if not iterations:
         return RefinementTrace(iterations=[], final=ActionSequence(), exhausted=True,

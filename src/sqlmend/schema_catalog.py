@@ -72,12 +72,13 @@ class TableInfo:
     name: str
     columns: tuple[ColumnInfo, ...]
 
+    @cached_property
+    def _columns_by_name(self) -> dict[str, ColumnInfo]:
+        # reversed, so the first of two colliding names wins
+        return {col.name.lower(): col for col in reversed(self.columns)}
+
     def column(self, name: str) -> ColumnInfo | None:
-        lowered = name.lower()
-        for col in self.columns:
-            if col.name.lower() == lowered:
-                return col
-        return None
+        return self._columns_by_name.get(name.lower())
 
     def has_column(self, name: str) -> bool:
         return self.column(name) is not None
@@ -108,12 +109,13 @@ class SchemaCatalog:
     foreign_keys: tuple[ForeignKeyLink, ...]
     source_path: str
 
+    @cached_property
+    def _tables_by_name(self) -> dict[str, TableInfo]:
+        # reversed, so the first of two colliding names wins
+        return {tab.name.lower(): tab for tab in reversed(self.tables)}
+
     def table(self, name: str) -> TableInfo | None:
-        lowered = name.lower()
-        for tab in self.tables:
-            if tab.name.lower() == lowered:
-                return tab
-        return None
+        return self._tables_by_name.get(name.lower())
 
     def resolve(self, table: str | None, column: str,
                 scope: Sequence[str] | None = None) -> Resolution:
@@ -146,17 +148,22 @@ class SchemaCatalog:
             return Resolution("unknown_column")
         return Resolution(status, owners[0], owners[0].column(column))
 
-    def is_foreign_key_pair(self, left_table: str, left_column: str,
-                            right_table: str, right_column: str) -> bool:
-        """True if the column pair is a declared foreign key in either direction."""
-        a = (left_table.lower(), left_column.lower())
-        b = (right_table.lower(), right_column.lower())
-        for fk in self.foreign_keys:
-            src = (fk.table.lower(), fk.column.lower())
-            dst = (fk.ref_table.lower(), fk.ref_column.lower())
-            if (a, b) in ((src, dst), (dst, src)):
-                return True
-        return False
+    @cached_property
+    def fk_pairs(self) -> frozenset[tuple[tuple[str, str], tuple[str, str]]]:
+        """Each declared foreign key as a ((table, column), (table, column))
+        pair of catalog names, in both directions."""
+        return frozenset(pair for fk in self.foreign_keys for pair in (
+            ((fk.table, fk.column), (fk.ref_table, fk.ref_column)),
+            ((fk.ref_table, fk.ref_column), (fk.table, fk.column))))
+
+    @cached_property
+    def fk_neighbors(self) -> dict[str, set[str]]:
+        """The table graph: each table's name and the names of the tables
+        that a foreign key joins it to, in either direction."""
+        graph: dict[str, set[str]] = {t.name: set() for t in self.tables}
+        for (table, _column), (ref_table, _ref_column) in self.fk_pairs:
+            graph[table].add(ref_table)
+        return graph
 
     def to_json_dict(self) -> dict:
         return {
@@ -267,10 +274,8 @@ def load_catalog(db_path: str | Path) -> SchemaCatalog:
                 continue
             tables.append(TableInfo(name=name, columns=cols))
         by_name = {t.name.lower(): t for t in tables}
-        for name in names:
-            if name.lower() not in by_name:
-                continue
-            for row in conn.execute("PRAGMA foreign_key_list(" + quote(name, '"') + ")"):
+        for table in tables:
+            for row in conn.execute("PRAGMA foreign_key_list(" + quote(table.name, '"') + ")"):
                 seq, ref_table, src_col, dst_col = row[1:5]
                 target = by_name.get(ref_table.lower())
                 if target is None:
@@ -280,10 +285,12 @@ def load_catalog(db_path: str | Path) -> SchemaCatalog:
                     if seq >= len(pks):
                         continue
                     dst_col = pks[seq]
-                if not target.has_column(dst_col) or not by_name[name.lower()].has_column(src_col):
+                src, dst = table.column(src_col), target.column(dst_col)
+                if src is None or dst is None:
                     continue
-                links.append(ForeignKeyLink(table=name, column=src_col,
-                                            ref_table=target.name, ref_column=dst_col))
+                # both columns spelled as declared, whatever case the key wrote
+                links.append(ForeignKeyLink(table=table.name, column=src.name,
+                                            ref_table=target.name, ref_column=dst.name))
         links.sort(key=lambda fk: (fk.table.lower(), fk.column.lower(),
                                    fk.ref_table.lower(), fk.ref_column.lower()))
         return SchemaCatalog(tables=tuple(tables), foreign_keys=tuple(links),

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import sqlmend.schema_catalog
 from sqlmend.actions import AddWhere, ColumnRef, Literal, parse_actions
 from sqlmend.detector import detect
-from sqlmend.orchestrator import verdict_to_json
+from sqlmend.orchestrator import render_schema, verdict_to_json
 from sqlmend.perturb import (
     AnnotatedExample,
     NoApplicableSpan,
@@ -122,6 +122,83 @@ UNLINKED_FOREIGN_KEYS = {
 @pytest.mark.parametrize("case", sorted(UNLINKED_FOREIGN_KEYS))
 def test_a_foreign_key_without_a_target_column_is_left_out(tmp_db, case):
     assert _links(load_catalog(tmp_db(UNLINKED_FOREIGN_KEYS[case]))) == []
+
+
+def test_a_foreign_key_is_spelled_as_its_columns_are_declared(tmp_db, music_catalog):
+    db = tmp_db("""
+        CREATE TABLE Album (AlbumId INTEGER PRIMARY KEY, Title TEXT);
+        CREATE TABLE track (TrackId INTEGER PRIMARY KEY, AlbumId INTEGER,
+                            FOREIGN KEY (ALBUMID) REFERENCES album(albumid));
+    """)
+    assert _links(load_catalog(db)) == [("track", "AlbumId", "Album", "AlbumId")]
+    assert _links(music_catalog) == [("album", "artistid", "Artist", "ArtistId"),
+                                     ("album", "GenreID", "Genre", "GenreId")]
+    assert render_schema(music_catalog).splitlines()[-1] == (
+        "foreign keys: album.artistid -> Artist.ArtistId; album.GenreID -> Genre.GenreId")
+
+
+def _is_foreign_key_pair_oracle(catalog, left_table, left_column, right_table, right_column):
+    """The linear scan that SchemaCatalog.fk_pairs replaced."""
+    a = (left_table.lower(), left_column.lower())
+    b = (right_table.lower(), right_column.lower())
+    for fk in catalog.foreign_keys:
+        src = (fk.table.lower(), fk.column.lower())
+        dst = (fk.ref_table.lower(), fk.ref_column.lower())
+        if (a, b) in ((src, dst), (dst, src)):
+            return True
+    return False
+
+
+def _fk_graph_oracle(catalog) -> dict[str, set[str]]:
+    """The detector's per-level graph build that SchemaCatalog.fk_neighbors replaced."""
+    graph: dict[str, set[str]] = {t.name.lower(): set() for t in catalog.tables}
+    for fk in catalog.foreign_keys:
+        graph[fk.table.lower()].add(fk.ref_table.lower())
+        graph[fk.ref_table.lower()].add(fk.table.lower())
+    return graph
+
+
+def _respell(rng, name: str) -> str:
+    return "".join(c.upper() if rng.random() < 0.5 else c.lower() for c in name)
+
+
+@st.composite
+def _mixed_case_fk_schemas(draw):
+    """DDL for 1-4 tables with 0-3 foreign keys each, every name and every
+    reference to it spelled in random ASCII case; a key names the target's
+    id or name column, or no column, which pairs it with the id."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(1, 4))
+    statements = []
+    for i in range(n):
+        columns = [f"{_respell(rng, 'id')} INTEGER PRIMARY KEY", f"{_respell(rng, 'name')} TEXT"]
+        keys = []
+        for j, target in enumerate(draw(st.lists(st.integers(0, n - 1), max_size=3))):
+            columns.append(f"{_respell(rng, f'ref{j}')} INTEGER")
+            ref_column = draw(st.sampled_from(["(id)", "(name)", ""]))
+            keys.append(f"FOREIGN KEY ({_respell(rng, f'ref{j}')}) REFERENCES "
+                        f"{_respell(rng, f't{target}')}{_respell(rng, ref_column)}")
+        statements.append(f"CREATE TABLE {_respell(rng, f't{i}')} ({', '.join(columns + keys)});")
+    return "\n".join(statements), rng
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mixed_case_fk_schemas())
+def test_fk_pairs_and_neighbors_equal_the_case_folding_scans(case):
+    ddl, rng = case
+    with tempfile.TemporaryDirectory() as tmp:
+        catalog = load_catalog(make_db(Path(tmp) / "keys.sqlite", ddl))
+    assert {table.lower(): {n.lower() for n in neighbors}
+            for table, neighbors in catalog.fk_neighbors.items()} == _fk_graph_oracle(catalog)
+    assert set(catalog.fk_neighbors) == {t.name for t in catalog.tables}
+    columns = [(t.name, c.name) for t in catalog.tables for c in t.columns]
+    for left in columns:
+        for right in columns:
+            spelled = [_respell(rng, name) for name in left + right]
+            # as the detector asks: each end resolved to its catalog names
+            ends = [catalog.resolve(table, column) for table, column in (spelled[:2], spelled[2:])]
+            assert (tuple((end.table.name, end.column.name) for end in ends)
+                    in catalog.fk_pairs) == _is_foreign_key_pair_oracle(catalog, *spelled)
 
 
 def test_load_catalog_missing_file(tmp_path):
