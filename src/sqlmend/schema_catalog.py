@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 import sqlite3
+import string
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,6 +24,7 @@ DEFAULT_CELL_CAP = 50_000
 
 _BATCH_ROWS = 256  # rows per fetchmany; 1024 was no faster and raised peak memory
 _NON_WORD_RE = re.compile(r"\W+")
+_ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
 
 
 class CorruptDatabase(Exception):
@@ -45,6 +47,13 @@ def affinity_of(declared_type: str) -> str:
     if "NUM" in t or "DEC" in t:
         return "NUMERIC"
     return "OTHER"
+
+
+def _fold(name: str) -> str:
+    """A table or column name as SQLite compares it: A-Z folded to a-z,
+    and no other letter (SQLite FAQ, q18). Only this module folds names."""
+    # lower() is the same on ASCII and about ten times faster than translate
+    return name.lower() if name.isascii() else name.translate(_ASCII_LOWER)
 
 
 def normalize_cell(text: str) -> str:
@@ -75,10 +84,10 @@ class TableInfo:
     @cached_property
     def _columns_by_name(self) -> dict[str, ColumnInfo]:
         # reversed, so the first of two colliding names wins
-        return {col.name.lower(): col for col in reversed(self.columns)}
+        return {_fold(col.name): col for col in reversed(self.columns)}
 
     def column(self, name: str) -> ColumnInfo | None:
-        return self._columns_by_name.get(name.lower())
+        return self._columns_by_name.get(_fold(name))
 
     def has_column(self, name: str) -> bool:
         return self.column(name) is not None
@@ -112,10 +121,10 @@ class SchemaCatalog:
     @cached_property
     def _tables_by_name(self) -> dict[str, TableInfo]:
         # reversed, so the first of two colliding names wins
-        return {tab.name.lower(): tab for tab in reversed(self.tables)}
+        return {_fold(tab.name): tab for tab in reversed(self.tables)}
 
     def table(self, name: str) -> TableInfo | None:
-        return self._tables_by_name.get(name.lower())
+        return self._tables_by_name.get(_fold(name))
 
     def resolve(self, table: str | None, column: str,
                 scope: Sequence[str] | None = None) -> Resolution:
@@ -217,7 +226,7 @@ class CellIndex:
         self._columns = dict(columns)
 
     def column_cells(self, table: str, column: str) -> ColumnCells | None:
-        return self._columns.get((table.lower(), column.lower()))
+        return self._columns.get((_fold(table), _fold(column)))
 
     def columns(self) -> list[tuple[str, str]]:
         """Indexed (table, column) pairs in original case, sorted."""
@@ -273,11 +282,11 @@ def load_catalog(db_path: str | Path) -> SchemaCatalog:
             if not cols:
                 continue
             tables.append(TableInfo(name=name, columns=cols))
-        by_name = {t.name.lower(): t for t in tables}
+        by_name = {_fold(t.name): t for t in tables}
         for table in tables:
             for row in conn.execute("PRAGMA foreign_key_list(" + quote(table.name, '"') + ")"):
                 seq, ref_table, src_col, dst_col = row[1:5]
-                target = by_name.get(ref_table.lower())
+                target = by_name.get(_fold(ref_table))
                 if target is None:
                     continue
                 if dst_col is None:  # the seq-th column of the key pairs with the PK's seq-th
@@ -351,7 +360,7 @@ def build_cell_index(catalog: SchemaCatalog, db_path: str | Path) -> CellIndex:
                 if values is None:
                     values = _most_frequent(conn, db_path, table_sql, quote(name, '"'), cap)
                 cells = tuple(sorted(v for v in values if isinstance(v, str)))
-                columns[(table.name.lower(), name.lower())] = ColumnCells(
+                columns[(_fold(table.name), _fold(name))] = ColumnCells(
                     table=table.name, column=name, cells=cells
                 )
         return CellIndex(columns)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import re
 import sqlite3
+import string
 import sys
 import tempfile
 import threading
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import sqlmend.schema_catalog
 from sqlmend.actions import AddWhere, ColumnRef, Literal, parse_actions
-from sqlmend.detector import detect
+from sqlmend.detector import UNKNOWN_TABLE, detect
 from sqlmend.orchestrator import render_schema, verdict_to_json
 from sqlmend.perturb import (
     AnnotatedExample,
@@ -28,9 +29,11 @@ from sqlmend.postprocess import rewrite
 from sqlmend.retriever import Matched, check_condition, inspect_sequence, rank_candidates
 from sqlmend.schema_catalog import (
     ColumnCells,
+    ColumnInfo,
     CorruptDatabase,
     Database,
     SchemaCatalog,
+    TableInfo,
     affinity_of,
     build_cell_index,
     load_catalog,
@@ -135,6 +138,51 @@ def test_a_foreign_key_is_spelled_as_its_columns_are_declared(tmp_db, music_cata
                                      ("album", "GenreID", "Genre", "GenreId")]
     assert render_schema(music_catalog).splitlines()[-1] == (
         "foreign keys: album.artistid -> Artist.ArtistId; album.GenreID -> Genre.GenreId")
+
+
+def _sqlite_fold(name: str) -> str:
+    return "".join(chr(ord(c) + 32) if "A" <= c <= "Z" else c for c in name)
+
+
+_NAME_TEXT = st.text(string.ascii_letters + "_\u00e4\u00c4\u00df", min_size=1, max_size=3)
+
+
+@settings(max_examples=300)
+@given(st.lists(_NAME_TEXT, min_size=1, max_size=6), _NAME_TEXT)
+def test_table_and_column_lookups_equal_a_folding_scan(names, probe):
+    table = TableInfo(name="t", columns=tuple(ColumnInfo(name, "TEXT") for name in names))
+    catalog = SchemaCatalog(tables=tuple(TableInfo(name, ()) for name in names),
+                            foreign_keys=(), source_path="")
+    for spelling in [probe] + [f(name) for name in names for f in (str, str.swapcase, str.upper)]:
+        # the first of two names that fold alike wins
+        first = next((i for i, name in enumerate(names)
+                      if _sqlite_fold(name) == _sqlite_fold(spelling)), None)
+        assert table.column(spelling) is (None if first is None else table.columns[first])
+        assert catalog.table(spelling) is (None if first is None else catalog.tables[first])
+
+
+def test_names_fold_as_sqlite_folds_them(tmp_db):
+    db = tmp_db('CREATE TABLE "St\u00e4dte"(Name TEXT);', {'"St\u00e4dte"': [("Berlin",)]})
+    catalog = load_catalog(db)
+    index = build_cell_index(catalog, db)
+    conn = sqlite3.connect(db)
+    with pytest.raises(sqlite3.OperationalError, match="no such table"):
+        conn.execute("SELECT Name FROM ST\u00c4DTE")
+    assert conn.execute("SELECT Name FROM st\u00e4dte").fetchall() == [("Berlin",)]
+    conn.close()
+
+    def check(table):
+        seq = parse_actions(f'add_select(Name)\nadd_from({table})\n'
+                            f'add_where(Name, =, "Berlin")').sequence
+        return detect(seq, catalog), inspect_sequence(seq, catalog, index)[0][1]
+
+    findings, verdict = check("ST\u00c4DTE")
+    assert UNKNOWN_TABLE in [f.kind for f in findings]
+    assert not isinstance(verdict, Matched)
+    assert catalog.table("ST\u00c4DTE") is None and index.column_cells("ST\u00c4DTE", "name") is None
+    findings, verdict = check("st\u00e4dte")
+    assert findings == [] and verdict == Matched(raw_value="Berlin")
+    assert index.column_cells("st\u00e4dte", "NAME").cells == ("Berlin",)
 
 
 def _is_foreign_key_pair_oracle(catalog, left_table, left_column, right_table, right_column):
