@@ -5,10 +5,11 @@ column.
 The extraction reads the query's SELECT cores through `sqllex`, not a
 full SQL parse, so it degrades gracefully on malformed predictions: each
 string comparison in a core's WHERE or HAVING clause, or in an
-aggregate's FILTER (WHERE …), is resolved against that core's own FROM
-tables and aliases. Replacement is the retriever's top-ranked cell, with
-no minimum score by default; that forced behavior is the point of the
-baseline, and a threshold exists only as an opt-in.
+aggregate's FILTER (WHERE …), is resolved in the innermost core whose
+FROM knows it, as SQL resolves a correlated reference. Replacement is the
+retriever's top-ranked cell, with no minimum score by default; that
+forced behavior is the point of the baseline, and a threshold exists only
+as an opt-in.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterator
 from . import retriever
 # unused here; perfbench/tracing.py still reads and swaps postprocess.TrigramBackend
 from .retriever import TrigramBackend  # noqa: F401
-from .schema_catalog import CellIndex, SchemaCatalog
+from .schema_catalog import CellIndex, Resolution, SchemaCatalog, TableInfo
 from .sqllex import (STRING_KINDS, Core, Token, from_items, name, quote, select_cores,
                      tokenize, unquote, word)
 
@@ -75,29 +76,54 @@ def _conditions(core: Core) -> Iterator[ExtractedCondition]:
                                      start=token.start, end=token.end, quote=token.text[0])
 
 
+def _from(core: Core, catalog: SchemaCatalog) -> tuple[list[TableInfo], dict[str, str | None]]:
+    """The catalog tables a core's FROM names, in order, and each of its
+    lowercased aliases with its table."""
+    items = from_items(core)
+    tables = [catalog.table(item.table) for item in items if item.table]
+    # a derived table's alias maps to None: it names no catalog table
+    aliases = {item.alias.lower(): item.table for item in items if item.alias is not None}
+    return [table for table in tables if table], aliases
+
+
+def _resolve(condition: ExtractedCondition, core: Core | None, froms: dict[int, tuple],
+             catalog: SchemaCatalog) -> Resolution | None:
+    """The column a condition compares, read in the innermost core whose
+    FROM knows its qualifier or, when it has none, owns its column or
+    finds it ambiguous; then in the enclosing cores outward. A qualifier
+    that no FROM knows is read as a catalog table."""
+    qualifier = condition.table
+    while core is not None:
+        tables, aliases = froms[id(core)]
+        if qualifier is None:
+            # a FROM naming no catalog table leaves the whole catalog as its scope
+            found = catalog.resolve(None, condition.column,
+                                    [table.name for table in tables] or None)
+            if found.status in ("ok", "ambiguous"):
+                return found
+        elif qualifier.lower() in aliases:
+            table = aliases[qualifier.lower()]
+            return None if table is None else catalog.resolve(table, condition.column)
+        elif catalog.table(qualifier) in tables:
+            break
+        core = core.parent
+    return None if qualifier is None else catalog.resolve(qualifier, condition.column)
+
+
 def rewrite(sql: str, catalog: SchemaCatalog, index: CellIndex, *,
             min_score: float = 0.0) -> str:
     """Replace each extracted literal with the most similar raw cell of its
-    resolved column. A literal that already is a cell, and ambiguous or
-    unindexed columns, leave the literal untouched; everything outside
-    literal spans is byte-preserved.
+    resolved column. A literal that already is a cell, and ambiguous,
+    unresolved or unindexed columns, leave the literal untouched;
+    everything outside literal spans is byte-preserved.
     """
     replacements: list[tuple[int, int, str]] = []
-    for core in select_cores(tokenize(sql)):
-        items = from_items(core)
-        # a core naming no known table leaves the whole catalog as its scope
-        scope = [item.table for item in items
-                 if item.table and catalog.table(item.table)] or None
-        # a derived table's alias maps to None: it names no catalog table
-        aliases = {item.alias.lower(): item.table for item in items if item.alias is not None}
+    cores = select_cores(tokenize(sql))
+    froms = {id(core): _from(core, catalog) for core in cores}
+    for core in cores:
         for condition in _conditions(core):
-            table = condition.table
-            if table is not None:
-                table = aliases.get(table.lower(), table)
-                if table is None:
-                    continue
-            found = catalog.resolve(table, condition.column, scope)
-            if found.status != "ok":
+            found = _resolve(condition, core, froms, catalog)
+            if found is None or found.status != "ok":
                 continue
             cells = index.column_cells(found.table.name, found.column.name)
             # a literal that already is a cell stays, as the retriever's match does

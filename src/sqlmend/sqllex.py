@@ -96,6 +96,7 @@ class Core:
     depth: int  # the depth of its `select` token
     clauses: list[tuple[str, list[Token]]]
     end: int  # the index of the token that ended it, or len(tokens)
+    parent: Core | None = None  # the core it is nested in, if any
 
 
 def select_cores(tokens: list[Token]) -> list[Core]:
@@ -104,7 +105,8 @@ def select_cores(tokens: list[Token]) -> list[Core]:
     a paren opened outside it, at a set operator or a `select` at its own
     depth, or at the end of the text. Each token belongs to the innermost
     core open at it; a token before the first `select`, or after a core
-    ends with none around it, belongs to none.
+    ends with none around it, belongs to none. A core's parent is the
+    innermost core open at its `select`.
     """
     cores: list[Core] = []
     open_cores: list[Core] = []
@@ -116,7 +118,8 @@ def select_cores(tokens: list[Token]) -> list[Core]:
             while open_cores and open_cores[-1].depth >= token.depth:
                 open_cores.pop().end = i
         if keyword == "select":
-            open_cores.append(Core(token.depth, [("select", [])], len(tokens)))
+            parent = open_cores[-1] if open_cores else None
+            open_cores.append(Core(token.depth, [("select", [])], len(tokens), parent))
             cores.append(open_cores[-1])
         elif open_cores:
             core, clause = open_cores[-1], None

@@ -7,6 +7,7 @@ import sys
 import threading
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -284,6 +285,21 @@ def test_a_condition_in_a_subquery_resolves_against_its_from(tmp_db):
            "AND name = 'alpa'")
     assert rewrite(sql, catalog, index) == sql.replace("'bta'", "'Beta'").replace(
         "'alpa'", "'Alpha'")
+
+
+@pytest.mark.parametrize("reference", ["e.written_by", "written_by"])
+def test_a_correlated_reference_resolves_in_the_enclosing_core(episode_catalog, episode_index,
+                                                               reference):
+    sql = ("SELECT title FROM episode AS e WHERE EXISTS (SELECT 1 FROM pairing AS p "
+           f"WHERE p.episode_id = e.id AND {reference} = 'todd casey')")
+    assert rewrite(sql, episode_catalog, episode_index) == sql.replace("'todd casey'",
+                                                                       "'Todd Casey'")
+
+
+def test_an_ambiguous_column_is_not_looked_up_further_out(tmp_db):
+    catalog, index = _two_name_tables(tmp_db)
+    sql = "SELECT id FROM a WHERE EXISTS (SELECT 1 FROM a AS x, b WHERE name = 'alpa')"
+    assert rewrite(sql, catalog, index) == sql
 
 
 def test_a_derived_table_alias_names_no_catalog_table(tmp_db):

@@ -179,7 +179,8 @@ def test_names_fold_as_sqlite_folds_them(tmp_db):
     findings, verdict = check("ST\u00c4DTE")
     assert UNKNOWN_TABLE in [f.kind for f in findings]
     assert not isinstance(verdict, Matched)
-    assert catalog.table("ST\u00c4DTE") is None and index.column_cells("ST\u00c4DTE", "name") is None
+    assert catalog.table("ST\u00c4DTE") is None
+    assert index.column_cells("ST\u00c4DTE", "name") is None
     findings, verdict = check("st\u00e4dte")
     assert findings == [] and verdict == Matched(raw_value="Berlin")
     assert index.column_cells("st\u00e4dte", "NAME").cells == ("Berlin",)

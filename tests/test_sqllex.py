@@ -86,6 +86,8 @@ def test_select_cores_give_each_token_its_innermost_core_and_clause():
     # ends: its `)`, the UNION at its depth, the text's end
     assert [tokens[c.end].text for c in (cte, outer, inner)] == [")", "UNION", ")"]
     assert arm.end == len(tokens)
+    # each core's parent is the innermost core open at its `select`
+    assert [c.parent for c in (cte, outer, inner, arm)] == [None, None, outer, None]
     # a stray `)` ends the core around it; the text after belongs to none
     [core] = select_cores(tokenize("SELECT a FROM t) WHERE b = 'x'"))
     assert _runs(core) == [("select", "a"), ("from", "t")]
