@@ -400,7 +400,7 @@ def _rule_matches(rule: ConstraintRule, resolve: _Resolve, ref: ColumnRef | None
     found = resolve(ref)
     if found.status not in _BOUND:
         return ref.table is not None and ref.table.lower() == rule.column.table.lower()
-    return found.table.name.lower() == rule.column.table.lower()
+    return resolve(rule.column).table is found.table
 
 
 def _evaluate_rule_level(rule: ConstraintRule, uses: list[_ColumnUse],

@@ -166,13 +166,13 @@ class SchemaCatalog:
             ((fk.ref_table, fk.ref_column), (fk.table, fk.column))))
 
     @cached_property
-    def fk_neighbors(self) -> dict[str, set[str]]:
+    def fk_neighbors(self) -> dict[str, frozenset[str]]:
         """The table graph: each table's name and the names of the tables
         that a foreign key joins it to, in either direction."""
         graph: dict[str, set[str]] = {t.name: set() for t in self.tables}
         for (table, _column), (ref_table, _ref_column) in self.fk_pairs:
             graph[table].add(ref_table)
-        return graph
+        return {table: frozenset(neighbors) for table, neighbors in graph.items()}
 
     def to_json_dict(self) -> dict:
         return {

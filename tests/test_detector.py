@@ -201,6 +201,15 @@ def test_a_mixed_case_bridge_table_is_not_redundant(music_catalog):
     assert detect(seq, music_catalog) == []
 
 
+def test_a_rule_names_its_table_in_any_case(music_catalog):
+    seq = seq_of("add_select(name)\nadd_from(artist)")
+    for table, fires in (("ARTIST", True), ("genre", False)):
+        rules = load_rules([{"rule_id": "r", "kind": "require_null_filter",
+                             "params": {"column": f"{table}.NAME"}}])
+        assert [f.kind for f in detect(seq, music_catalog, rules)] == \
+            ([CUSTOM_RULE_VIOLATION] if fires else [])
+
+
 def test_detect_recurses_into_merge_children(episode_catalog):
     text = """add_merge(UNION):
     left:
