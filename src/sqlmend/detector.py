@@ -37,7 +37,7 @@ from .actions import (
     value_literals,
     walk_levels,
 )
-from .schema_catalog import Resolution, SchemaCatalog
+from .schema_catalog import Resolution, SchemaCatalog, fold
 
 UNKNOWN_TABLE = "UnknownTable"
 UNKNOWN_COLUMN = "UnknownColumn"
@@ -303,11 +303,11 @@ def _detect_level(level: ActionSequence, prefix: tuple, catalog: SchemaCatalog,
         payload_tables.setdefault(table.name, use.path)
     in_scope = {table.name for _t, table in scope if table}
     missing = (set(payload_tables) | join_endpoint_tables) - in_scope
-    for name in sorted(missing, key=lambda name: (name.lower(), name)):
+    for name in sorted(missing, key=lambda name: (fold(name), name)):
         path = from_path if from_path is not None else payload_tables.get(name, prefix + (0,))
         emit(JOIN_ABSENCE, path,
-             f"table {name.lower()!r} is referenced but missing from add_from",
-             table=name.lower())
+             f"table {fold(name)!r} is referenced but missing from add_from",
+             table=fold(name))
     # a level that selects * implicitly uses every FROM table, and one with
     # unresolved columns gives no sound basis for a redundancy claim
     star_used = any(item.expression == "*"

@@ -21,7 +21,7 @@ from typing import Iterator
 from . import retriever
 # unused here; perfbench/tracing.py still reads and swaps postprocess.TrigramBackend
 from .retriever import TrigramBackend  # noqa: F401
-from .schema_catalog import CellIndex, Resolution, SchemaCatalog, TableInfo
+from .schema_catalog import CellIndex, Resolution, SchemaCatalog, TableInfo, fold
 from .sqllex import (STRING_KINDS, Core, Token, from_items, name, quote, select_cores,
                      tokenize, unquote, word)
 
@@ -78,11 +78,11 @@ def _conditions(core: Core) -> Iterator[ExtractedCondition]:
 
 def _from(core: Core, catalog: SchemaCatalog) -> tuple[list[TableInfo], dict[str, str | None]]:
     """The catalog tables a core's FROM names, in order, and each of its
-    lowercased aliases with its table."""
+    aliases, folded, with its table."""
     items = from_items(core)
     tables = [catalog.table(item.table) for item in items if item.table]
     # a derived table's alias maps to None: it names no catalog table
-    aliases = {item.alias.lower(): item.table for item in items if item.alias is not None}
+    aliases = {fold(item.alias): item.table for item in items if item.alias is not None}
     return [table for table in tables if table], aliases
 
 
@@ -101,8 +101,8 @@ def _resolve(condition: ExtractedCondition, core: Core | None, froms: dict[int, 
                                     [table.name for table in tables] or None)
             if found.status in ("ok", "ambiguous"):
                 return found
-        elif qualifier.lower() in aliases:
-            table = aliases[qualifier.lower()]
+        elif fold(qualifier) in aliases:
+            table = aliases[fold(qualifier)]
             return None if table is None else catalog.resolve(table, condition.column)
         elif catalog.table(qualifier) in tables:
             break

@@ -14,6 +14,15 @@ only the cells that share a trigram with the literal, with the same
 integer dot products and the same float arithmetic as TrigramBackend, so
 every score and ranking equals the brute-force one; cells that share none
 score 0.0.
+
+The build and the ranking loop over cells and trigrams in C iterators
+(map, zip, compress), not in bytecode. The build joins 2,048 padded cells
+into one string and reads its trigrams in order. It rests on two facts: no
+normalized cell holds the trigram "   ", so every one read belongs to the
+padding between two cells and is dropped; and cell positions ascend in
+every posting, so a trigram repeated within one cell is a run of its
+position there. The ranking sorts only the touched cells whose score
+reaches the k-th best.
 """
 
 from __future__ import annotations
@@ -21,10 +30,11 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
+from itertools import chain, compress, count, islice, repeat
+from operator import add, eq, ge, gt, mul, not_, truediv
 from typing import Sequence, Union
 
 from .actions import (
@@ -36,11 +46,16 @@ from .actions import (
     value_literals,
     walk,
 )
-from .schema_catalog import CellIndex, SchemaCatalog, normalize_cell
+from .schema_catalog import CellIndex, SchemaCatalog, normalize_cell, normalize_cells
 
 EQUALITY_OPS = ("=", "!=", "IN", "NOT IN")
 
 DEFAULT_CANDIDATES = 5
+
+_CHUNK = 2048  # cells read as one string; bounds the build's extra memory
+_GAP = "   "  # the trigram of the padding between two cells
+_SEPARATOR = array("i", [-1]).tobytes()  # between flattened postings: no cell's position
+_NO_CELLS = array("i")  # a new posting copies it, which is faster than array("i")
 
 
 @dataclass(frozen=True)
@@ -120,29 +135,53 @@ class TrigramPostings:
     product with every cell. `lengths` holds each cell's profile length.
     Cells with an empty normalized form post nothing and are listed in
     `empty`. `cells` must be sorted, as ColumnCells keeps them.
+
+    The build reads _CHUNK cells at a time as one string, each cell
+    padded by two spaces on each side. A normalized form holds no two
+    spaces in a row, so no cell holds the trigram "   ", and each one
+    read from the string belongs to the gap between two cells. Positions
+    ascend in every posting, so a trigram repeated within one cell is a
+    run of its position, and each pair of equal entries in a run adds 2
+    to the cell's squared length.
     """
 
     def __init__(self, cells: Sequence[str]):
         self.cells = cells
-        self.grams: dict[str, array] = defaultdict(partial(array, "i"))
+        self.grams: dict[str, array] = defaultdict(_NO_CELLS.__copy__)
         self.lengths = array("d")
         self.empty: list[int] = []
-        for i, raw in enumerate(cells):
-            normalized = normalize_cell(raw)
-            if not normalized:
-                self.empty.append(i)
-                self.lengths.append(0.0)
-                continue
-            grams = _trigrams(normalized)
-            # n distinct trigrams weigh 1 each, so _length would give sqrt(n)
-            self.lengths.append(math.sqrt(len(grams)) if len(set(grams)) == len(grams)
-                                else _length(Counter(grams)))
-            for gram in grams:
-                self.grams[gram].append(i)
+        for start in range(0, len(cells), _CHUNK):
+            stop = min(start + _CHUNK, len(cells))
+            norms = normalize_cells(cells[start:stop])
+            sizes = list(map(len, norms))
+            empty = list(compress(range(start, stop), map(not_, sizes)))
+            text = "  " + "    ".join(norms) + "  "
+            del norms  # the text holds them; this bounds the build's peak memory
+            # each cell's n + 2 trigrams, then the two gap trigrams after it
+            ids = chain.from_iterable(map(repeat, range(start, stop), map(add, sizes, repeat(4))))
+            # the first chunk posts straight into the index; a later one
+            # posts apart, so that each is scanned for repeats alone
+            chunk = defaultdict(_NO_CELLS.__copy__) if start else self.grams
+            deque(map(array.append, map(chunk.__getitem__, map("".join, zip(text, text[1:], text[2:]))),
+                      ids), 0)
+            chunk.pop(_GAP, None)
+            # a cell's squared length: its n + 2 trigrams, plus 2 for each
+            # pair of equal ones; an empty cell's is 0
+            sumsq = list(map(add, sizes, repeat(2)))
+            for i in empty:
+                sumsq[i - start] = 0
+            for i in _equal_pairs(chunk.values()):
+                sumsq[i - start] += 2
+            if start:
+                deque(map(array.extend, map(self.grams.__getitem__, chunk), chunk.values()), 0)
+            self.lengths.extend(map(math.sqrt, sumsq))
+            self.empty += empty
 
     def top(self, query: str, k: int) -> list[tuple[str, float]]:
         """The k best (raw, score) pairs by TrigramBackend's score of the
         query, in (score desc, raw asc) order."""
+        if k == 0:
+            return []
         cells = self.cells
         query_norm = normalize_cell(query)
         if query_norm:
@@ -154,21 +193,42 @@ class TrigramPostings:
                 ids = self.grams.get(gram)
                 if ids is not None:
                     dots.update(ids * weight)
-            lengths = self.lengths
-            # (-score, raw) per touched cell, made as the heap reads it; an
-            # equal form has an equal profile, so dot == query_sumsq
-            keyed = ((-1.0 if dot == query_sumsq and normalize_cell(cells[i]) == query_norm
-                      else -min(1.0, dot / (query_length * lengths[i])), cells[i])
-                     for i, dot in dots.items())
+            # each touched cell's score, unclipped
+            scores = list(map(truediv, dots.values(),
+                              map(mul, repeat(query_length), map(self.lengths.__getitem__, dots))))
+            # an equal form has an equal profile, so dot == query_sumsq
+            for j, i in compress(enumerate(dots), map(eq, dots.values(), repeat(query_sumsq))):
+                if normalize_cell(cells[i]) == query_norm:
+                    scores[j] = 1.0
+            # min(1.0, score) is monotone, so the cells whose score reaches
+            # the k-th best one, clipped, hold the k best
+            floor = min(1.0, heapq.nlargest(k, scores)[-1]) if k < len(scores) else 0.0
+            ranked = sorted((-min(1.0, score), cells[i]) for score, i in
+                            compress(zip(scores, dots), map(ge, scores, repeat(floor))))
+            ranked = [(raw, -key) for key, raw in ranked[:k]]
             scored = dots.keys()
         else:
-            keyed = ((-1.0, cells[i]) for i in self.empty)
+            ranked = [(cells[i], 1.0) for i in self.empty[:k]]
             scored = set(self.empty)
         # scored cells score above 0.0; the others fill the rest with 0.0
-        ranked = [(raw, -key) for key, raw in heapq.nsmallest(k, keyed)]
         ranked += islice(((raw, 0.0) for i, raw in enumerate(cells) if i not in scored),
-                         max(0, k - len(ranked)))
+                         k - len(ranked))
         return ranked
+
+
+def _equal_pairs(postings):
+    """A cell's position once for each pair of equal entries it has
+    within one posting. Entries ascend, so equal ones form a run, and a
+    run of c holds c - d pairs d apart for each d < c."""
+    # a posting of one entry holds no pair
+    flat = memoryview(_SEPARATOR.join(compress(postings, map(gt, map(len, postings), repeat(1)))))
+    flat = flat.cast("i")
+    # the first of each pair one apart, then of each pair two apart, ...
+    at = list(compress(count(), map(eq, flat, islice(flat, 1, None))))
+    while at:
+        yield from map(flat.__getitem__, at)
+        ends = set(at)
+        at = list(compress(at, map(ends.__contains__, map(add, at, repeat(1)))))
 
 
 def rank_candidates(literal: str, cells, k: int) -> tuple[CellCandidate, ...]:

@@ -49,24 +49,31 @@ def affinity_of(declared_type: str) -> str:
     return "OTHER"
 
 
-def _fold(name: str) -> str:
-    """A table or column name as SQLite compares it: A-Z folded to a-z,
-    and no other letter (SQLite FAQ, q18). Only this module folds names."""
+def fold(name: str) -> str:
+    """A table, column or alias name as SQLite compares it: A-Z folded to
+    a-z, and no other letter (SQLite FAQ, q18). Every module that matches
+    names folds them with this."""
     # lower() is the same on ASCII and about ten times faster than translate
     return name.lower() if name.isascii() else name.translate(_ASCII_LOWER)
 
 
 def normalize_cell(text: str) -> str:
-    """Normalize a cell value: strip one quote pair, case-fold, collapse
-    each run of non-word characters (punctuation, whitespace) to one space.
+    """Normalize a cell value: case-fold, collapse each run of non-word
+    characters (punctuation, quotes, whitespace) to one space, and trim
+    the ends, so a quoted or padded value normalizes as its content.
 
     Idempotent: the output contains only word characters and single spaces,
     so normalizing it again is a no-op.
     """
-    s = text.strip()
-    if len(s) >= 2 and s[0] == s[-1] and s[0] in "'\"`":
-        s = s[1:-1]
-    return _NON_WORD_RE.sub(" ", s.casefold()).strip()
+    return _NON_WORD_RE.sub(" ", text.casefold()).strip()
+
+
+def normalize_cells(texts: Sequence[str]) -> list[str]:
+    """normalize_cell of each text, with one substitution over them all.
+    No case-folded text holds "A", a word character, so it keeps them apart."""
+    if not texts:
+        return []
+    return list(map(str.strip, _NON_WORD_RE.sub(" ", "A".join(map(str.casefold, texts))).split("A")))
 
 
 @dataclass(frozen=True)
@@ -84,10 +91,10 @@ class TableInfo:
     @cached_property
     def _columns_by_name(self) -> dict[str, ColumnInfo]:
         # reversed, so the first of two colliding names wins
-        return {_fold(col.name): col for col in reversed(self.columns)}
+        return {fold(col.name): col for col in reversed(self.columns)}
 
     def column(self, name: str) -> ColumnInfo | None:
-        return self._columns_by_name.get(_fold(name))
+        return self._columns_by_name.get(fold(name))
 
     def has_column(self, name: str) -> bool:
         return self.column(name) is not None
@@ -121,10 +128,10 @@ class SchemaCatalog:
     @cached_property
     def _tables_by_name(self) -> dict[str, TableInfo]:
         # reversed, so the first of two colliding names wins
-        return {_fold(tab.name): tab for tab in reversed(self.tables)}
+        return {fold(tab.name): tab for tab in reversed(self.tables)}
 
     def table(self, name: str) -> TableInfo | None:
-        return self._tables_by_name.get(_fold(name))
+        return self._tables_by_name.get(fold(name))
 
     def resolve(self, table: str | None, column: str,
                 scope: Sequence[str] | None = None) -> Resolution:
@@ -226,7 +233,7 @@ class CellIndex:
         self._columns = dict(columns)
 
     def column_cells(self, table: str, column: str) -> ColumnCells | None:
-        return self._columns.get((_fold(table), _fold(column)))
+        return self._columns.get((fold(table), fold(column)))
 
     def columns(self) -> list[tuple[str, str]]:
         """Indexed (table, column) pairs in original case, sorted."""
@@ -282,11 +289,11 @@ def load_catalog(db_path: str | Path) -> SchemaCatalog:
             if not cols:
                 continue
             tables.append(TableInfo(name=name, columns=cols))
-        by_name = {_fold(t.name): t for t in tables}
+        by_name = {fold(t.name): t for t in tables}
         for table in tables:
             for row in conn.execute("PRAGMA foreign_key_list(" + quote(table.name, '"') + ")"):
                 seq, ref_table, src_col, dst_col = row[1:5]
-                target = by_name.get(_fold(ref_table))
+                target = by_name.get(fold(ref_table))
                 if target is None:
                     continue
                 if dst_col is None:  # the seq-th column of the key pairs with the PK's seq-th
@@ -360,7 +367,7 @@ def build_cell_index(catalog: SchemaCatalog, db_path: str | Path) -> CellIndex:
                 if values is None:
                     values = _most_frequent(conn, db_path, table_sql, quote(name, '"'), cap)
                 cells = tuple(sorted(v for v in values if isinstance(v, str)))
-                columns[(_fold(table.name), _fold(name))] = ColumnCells(
+                columns[(fold(table.name), fold(name))] = ColumnCells(
                     table=table.name, column=name, cells=cells
                 )
         return CellIndex(columns)

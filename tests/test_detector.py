@@ -194,6 +194,16 @@ def test_join_absence_names_missing_tables_lowercased_in_lowercase_order(music_c
     assert [f.machine_data["table"] for f in two if f.kind == JOIN_ABSENCE] == ["album", "genre"]
 
 
+def test_join_absence_keeps_apart_tables_that_sqlite_keeps_apart(tmp_db):
+    # SQLite folds A-Z only, so St\u00e4dte and ST\u00c4DTE are two tables
+    catalog = load_catalog(tmp_db('CREATE TABLE "St\u00e4dte"(Name TEXT);'
+                                  'CREATE TABLE "ST\u00c4DTE"(Name TEXT);'))
+    findings = detect(seq_of("add_select(St\u00e4dte.Name, ST\u00c4DTE.Name)\nadd_from(x)"),
+                      catalog)
+    assert [f.machine_data["table"] for f in findings if f.kind == JOIN_ABSENCE] == \
+        ["st\u00c4dte", "st\u00e4dte"]
+
+
 def test_a_mixed_case_bridge_table_is_not_redundant(music_catalog):
     seq = seq_of("add_select(ARTIST.Name, genre.name)\n"
                  "add_from(artist, ALBUM, Genre, join(Album.ArtistId, ARTIST.artistid), "

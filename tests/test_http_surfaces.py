@@ -66,6 +66,7 @@ def http_server(sleeps):
     finally:
         server.shutdown()
         thread.join()
+        server.server_close()
 
 
 def test_http_agent_request_shape(http_server, episode_catalog):

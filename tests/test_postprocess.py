@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import random
+import sqlite3
 import sys
 import threading
 from pathlib import Path
@@ -294,6 +295,24 @@ def test_a_correlated_reference_resolves_in_the_enclosing_core(episode_catalog, 
            f"WHERE p.episode_id = e.id AND {reference} = 'todd casey')")
     assert rewrite(sql, episode_catalog, episode_index) == sql.replace("'todd casey'",
                                                                        "'Todd Casey'")
+
+
+def test_an_alias_folds_as_sqlite_folds_it(episode_db, episode_catalog, episode_index):
+    # SQLite folds A-Z only, so the alias É is not é, and é names no table
+    sql = "SELECT id FROM episode AS \u00c9 WHERE \u00e9.written_by = 'todd casey'"
+    conn = sqlite3.connect(episode_db)
+    try:
+        with pytest.raises(sqlite3.OperationalError, match="no such column"):
+            conn.execute(sql)
+        assert conn.execute(sql.replace("\u00e9.", "\u00c9.")).fetchall() == []
+    finally:
+        conn.close()
+    assert rewrite(sql, episode_catalog, episode_index) == sql
+    assert rewrite(sql.replace("\u00e9.", "\u00c9."), episode_catalog, episode_index) == \
+        sql.replace("\u00e9.", "\u00c9.").replace("'todd casey'", "'Todd Casey'")
+    ascii_alias = "SELECT id FROM episode AS E WHERE e.written_by = 'todd casey'"
+    assert rewrite(ascii_alias, episode_catalog, episode_index) == \
+        ascii_alias.replace("'todd casey'", "'Todd Casey'")
 
 
 def test_an_ambiguous_column_is_not_looked_up_further_out(tmp_db):

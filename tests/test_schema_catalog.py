@@ -38,6 +38,7 @@ from sqlmend.schema_catalog import (
     build_cell_index,
     load_catalog,
     normalize_cell,
+    normalize_cells,
 )
 from sqlmend.sqllex import quote
 from conftest import make_db
@@ -408,12 +409,23 @@ def _two_pass_normalize(text: str) -> str:
     return re.sub(r"\s+", " ", s).strip()
 
 
-@given(st.one_of(st.text(max_size=40),
-                 st.text(alphabet=" \t\n\u00a0\u2003\u3000.,-_'\"`!aZ\u00e9\u0301\u0663\u00df",
-                         max_size=20)))
+_NORMALIZABLE = st.one_of(
+    st.text(max_size=40),
+    st.text(alphabet=" \t\n\u00a0\u2003\u3000.,-_'\"`!aZA\u00e9\u0301\u0663\u00df\u0130\ufb01",
+            max_size=20))
+
+
+@given(_NORMALIZABLE)
 @settings(max_examples=300)
 def test_normalize_cell_equals_the_two_pass_form(text):
     assert normalize_cell(text) == _two_pass_normalize(text)
+
+
+@given(st.lists(_NORMALIZABLE, max_size=8))
+@settings(max_examples=300)
+def test_normalize_cells_normalizes_each_text(texts):
+    assert normalize_cells(texts) == [_two_pass_normalize(text) for text in texts]
+    assert normalize_cells(tuple(texts)) == normalize_cells(texts)
 
 
 def test_index_distinct_and_null_exclusion(tmp_db):
